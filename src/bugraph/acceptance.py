@@ -3,7 +3,8 @@
 Twelve numbered checks cover the whole library: agreement of the two
 betweenness algorithms over every small graph class, uniformity of the
 stock blow-up families (with negative controls), the exact
-decomposition identity and its closed forms on a seeded random corpus,
+decomposition identity, the part-by-part values the search screens
+with, and the closed forms on a seeded random corpus,
 the extremal-part lemmas on full grids, the path-4 impossibility (both
 the integer inequality chain and an exhausted empty search), the
 tree sweeps, and a cut-vertex exploration.  A registry collects every
@@ -32,6 +33,7 @@ from .betweenness import (
 from .blowup import (
     BlowupSpec,
     PartDescriptor,
+    betweenness_by_part,
     blow_up,
     closed_form_neighbor_contribution,
     decompose_betweenness,
@@ -216,12 +218,17 @@ def _c6_decomposition(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]
     for spec in _corpus_specs():
         bg = blow_up(spec)
         profile = betweenness_exact(bg.graph)
+        if [v for values in betweenness_by_part(spec) for v in values] != profile:
+            return False, f"part-by-part values differ from the exact profile of {spec.label()}"
         for v in range(bg.graph.n):
             dec = decompose_betweenness(bg, v)
             if dec.total() != profile[v]:
                 return False, f"decomposition mismatch at vertex {v} of {spec.label()}"
             vertices += 1
-    return True, f"identity exact at all {vertices} vertices of {_CORPUS_SIZE} random specs"
+    return True, (
+        f"identity and part-by-part values exact at all {vertices} vertices "
+        f"of {_CORPUS_SIZE} random specs"
+    )
 
 
 def _c7_closed_forms(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
@@ -232,7 +239,7 @@ def _c7_closed_forms(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
         decs = [decompose_betweenness(bg, v) for v in range(bg.graph.n)]
         for i, j in spec.base.edges:
             for pi, pj in ((i, j), (j, i)):
-                want = closed_form_neighbor_contribution(spec, bg, pi, pj)
+                want = closed_form_neighbor_contribution(spec, pi, pj)
                 for x in bg.part_vertices[pi]:
                     if decs[x].neighbor_locals[pj] != want:
                         return False, (
@@ -273,7 +280,7 @@ def _c8_lemmas(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
 
 
 def _c9_p4_infeasible(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
-    t0 = time.time()
+    t0 = time.perf_counter()
     for a in range(1, 21):
         for b in range(1, 21):
             for c in range(1, 21):
@@ -281,7 +288,7 @@ def _c9_p4_infeasible(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]
                     rep = p4_infeasibility_check(P4SizeTuple(a, b, c, d))
                     if not rep.combined_violated:
                         return False, f"inequality chain not violated at {(a, b, c, d)}"
-    grid_secs = time.time() - t0
+    grid_secs = time.perf_counter() - t0
     max_size = 6 if level == "full" else 4
     budget = SearchBudget(part_family=FAMILY_IK, max_part_size=max_size)
     report = search_blowups(generate("path", 4), budget, jobs=jobs)
@@ -361,7 +368,7 @@ CRITERIA = [
     (3, "path3 independent-set family uniform", _c3_p3_family),
     (4, "star family uniform with negative controls", _c4_star_family),
     (5, "path2 clique family uniform at zero", _c5_p2_family),
-    (6, "decomposition identity on random corpus", _c6_decomposition),
+    (6, "decomposition identity and part-by-part values on random corpus", _c6_decomposition),
     (7, "closed forms match first-principles decomposition", _c7_closed_forms),
     (8, "extremal-part lemmas on full grids", _c8_lemmas),
     (9, "path4 infeasibility: inequalities and search", _c9_p4_infeasible),
@@ -383,12 +390,12 @@ def run_suite(level: str = "quick", jobs: int = 1, out=print) -> list[CriterionR
     results = []
     ordered = [c for c in CRITERIA if c[0] != 11] + [c for c in CRITERIA if c[0] == 11]
     for number, name, fn in ordered:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             passed, detail = fn(reg, level, jobs)
         except Exception as exc:  # noqa: BLE001 - a crash is a failed criterion
             passed, detail = False, f"crashed: {type(exc).__name__}: {exc}"
-        results.append(CriterionResult(number, name, passed, detail, time.time() - t0))
+        results.append(CriterionResult(number, name, passed, detail, time.perf_counter() - t0))
     results.sort(key=lambda r: r.number)
     if out is not None:
         for r in results:

@@ -31,7 +31,6 @@ __all__ = [
     "betweenness_oracle",
     "format_rational",
     "is_betweenness_uniform",
-    "parse_rational",
     "profile_json",
     "profile_uniformity",
     "shortest_path_data",
@@ -166,10 +165,6 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s.strip())
 
 
 def profile_json(values) -> dict:

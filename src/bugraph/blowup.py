@@ -12,12 +12,15 @@ of a blown-up vertex split cleanly into
 * one share per base-neighbor part: pairs inside that part.
 
 ``decompose_betweenness`` computes the split from first principles by
-classifying every pair contribution; the closed-form helpers recompute
-two of the shares directly so the two routes can be compared exactly.
+classifying every pair contribution on the built graph.
+``betweenness_by_part`` evaluates all three shares in closed form from
+the base graph and the parts alone, so the two routes can be compared
+exactly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -32,6 +35,7 @@ __all__ = [
     "DeltaResult",
     "DeltaUndefinedError",
     "PartDescriptor",
+    "betweenness_by_part",
     "blow_up",
     "closed_form_neighbor_contribution",
     "decompose_betweenness",
@@ -40,7 +44,6 @@ __all__ = [
     "delta_xy",
     "global_leaf_neighbor_formula",
     "neighbor_mass",
-    "sigma_within",
     "spec_from_json",
     "spec_to_json",
 ]
@@ -94,10 +97,6 @@ class PartDescriptor:
             return cls.clique(g.n)
         return cls.explicit(g)
 
-    @property
-    def n_vertices(self) -> int:
-        return self.size
-
     def realize(self) -> Graph:
         if self.kind == PART_INDEPENDENT:
             return generate("empty", self.size)
@@ -132,7 +131,7 @@ class BlowupSpec:
 
     @property
     def total_vertices(self) -> int:
-        return sum(p.n_vertices for p in self.parts)
+        return sum(p.size for p in self.parts)
 
     def label(self) -> str:
         inner = ",".join(p.label() for p in self.parts)
@@ -173,7 +172,7 @@ class BlownGraph:
 
 def blow_up(spec: BlowupSpec) -> BlownGraph:
     """Materialize the blow-up described by ``spec``."""
-    sizes = [p.n_vertices for p in spec.parts]
+    sizes = [p.size for p in spec.parts]
     starts = [0] * len(sizes)
     for i in range(1, len(sizes)):
         starts[i] = starts[i - 1] + sizes[i - 1]
@@ -199,30 +198,11 @@ def blow_up(spec: BlowupSpec) -> BlownGraph:
     )
 
 
-def sigma_within(bg: BlownGraph, i: int, u: int, v: int) -> int:
-    """Number of u,v-geodesics of the whole graph that stay inside part i.
-
-    For distinct u, v in part i this is 1 when uv is an edge and
-    otherwise the number of common neighbors of u and v inside the
-    part: same-part non-neighbors always sit at distance two because
-    the base is connected, so every neighboring part supplies common
-    neighbors.
-    """
-    if u == v:
-        raise ValueError("need two distinct vertices")
-    if bg.part_of[u] != i or bg.part_of[v] != i:
-        raise ValueError(f"vertices {u},{v} are not both in part {i}")
-    if bg.graph.has_edge(u, v):
-        return 1
-    bits = bg.graph.adjacency_bits
-    return (bits[u] & bits[v] & bg.part_mask(i)).bit_count()
-
-
 def neighbor_mass(spec: BlowupSpec, i: int) -> int:
     """Total size of the parts sitting on base neighbors of vertex i."""
     if not (0 <= i < spec.base.n):
         raise ValueError(f"base vertex {i} out of range")
-    return sum(spec.parts[j].n_vertices for j in spec.base.adjacency[i])
+    return sum(spec.parts[j].size for j in spec.base.adjacency[i])
 
 
 @dataclass(frozen=True)
@@ -291,29 +271,97 @@ def decompose_betweenness(bg: BlownGraph, v: int) -> Decomposition:
     return Decomposition(vertex=v, global_part=glob, own_local=own, neighbor_locals=nbr)
 
 
-def closed_form_neighbor_contribution(
-    spec: BlowupSpec, bg: BlownGraph, i: int, j: int
-) -> Fraction:
+def _common_neighbors(h: Graph) -> Iterator[int]:
+    """Bitmask of the common neighbors of each non-adjacent pair of h."""
+    bits = h.adjacency_bits
+    for u, w in combinations(range(h.n), 2):
+        if not bits[u] >> w & 1:
+            yield bits[u] & bits[w]
+
+
+def closed_form_neighbor_contribution(spec: BlowupSpec, i: int, j: int) -> Fraction:
     """Share of B(x) contributed by pairs inside neighbor part j.
 
-    For any x in part i with ij a base edge, each non-adjacent pair
-    u, v inside part j routes through x exactly once among its
-    sigma_within(u, v) + neighbor_mass(j) geodesics, so the value
+    For any x in part i with ij a base edge, a non-adjacent pair u, w
+    inside part j sits at distance two.  Its geodesics run through the
+    c(u, w) common neighbors of u and w inside H_j and through every
+    vertex of the parts on base neighbors of j, x among them, so the
+    value
 
-        sum over non-adjacent pairs of 1 / (sigma_within + mass)
+        sum over non-adjacent pairs of 1 / (c(u, w) + neighbor_mass(j))
 
-    does not depend on which x in part i is asked about.
+    does not depend on which x in part i is asked about.  It is read off
+    the part alone: C(m, 2) / mass for I_m, zero for a clique.
     """
     if not (0 <= i < spec.base.n and 0 <= j < spec.base.n):
         raise ValueError("part index out of range")
     if not spec.base.has_edge(i, j):
         raise ValueError(f"parts {i} and {j} are not adjacent in the base")
-    nj = neighbor_mass(spec, j)
-    total = Fraction(0)
-    for u, w in combinations(bg.part_vertices[j], 2):
-        if not bg.graph.has_edge(u, w):
-            total += Fraction(1, sigma_within(bg, j, u, w) + nj)
-    return total
+    part = spec.parts[j]
+    mass = neighbor_mass(spec, j)
+    if part.kind == PART_INDEPENDENT:
+        return Fraction(part.size * (part.size - 1) // 2, mass)
+    if part.kind == PART_CLIQUE:
+        return Fraction(0)
+    pairs = _common_neighbors(part.graph)
+    return sum((Fraction(1, c.bit_count() + mass) for c in pairs), Fraction(0))
+
+
+def betweenness_by_part(spec: BlowupSpec) -> Iterator[tuple[Fraction, ...]]:
+    """Exact betweenness of the blow-up, part by part, without building it.
+
+    Yields one tuple per base vertex k: the values of part k's vertices
+    in ``blow_up`` order.  A vertex v of part k gets three shares:
+
+    * global: s_i * s_j * W(i, k) * W(k, j) / W(i, j) summed over base
+      pairs i < j, both other than k, with k on an i,j-geodesic.  s_i
+      is the size of part i, and W(i, j) counts the base i,j-geodesics,
+      each weighted by the product of the sizes of its interior parts;
+    * neighbor: ``closed_form_neighbor_contribution`` summed over the
+      base neighbors of k;
+    * own: 1 / (c(x, y) + neighbor_mass(k)) summed over non-adjacent
+      pairs x, y of H_k that both neighbor v; zero for I and K parts.
+
+    The work depends on the base and on explicit part graphs, never on
+    the sizes of I and K parts.  Parts are evaluated lazily, so a caller
+    may stop at the first one it needs.
+    """
+    base = spec.base
+    n = base.n
+    adj = base.adjacency
+    dist = base.distances
+    sizes = [p.size for p in spec.parts]
+    w = []
+    for i in range(n):
+        di = dist[i]
+        wi = [0] * n
+        wi[i] = 1
+        for v in sorted(range(n), key=di.__getitem__)[1:]:
+            wi[v] = sum(
+                wi[u] * (sizes[u] if u != i else 1) for u in adj[v] if di[u] == di[v] - 1
+            )
+        w.append(wi)
+    for k, part in enumerate(spec.parts):
+        dk = dist[k]
+        value = Fraction(0)
+        for i in range(n):
+            di = dist[i]
+            for j in range(i + 1, n):
+                if k != i and k != j and di[k] + dk[j] == di[j]:
+                    value += Fraction(sizes[i] * sizes[j] * w[i][k] * w[k][j], w[i][j])
+        for j in adj[k]:
+            value += closed_form_neighbor_contribution(spec, k, j)
+        if part.kind != PART_EXPLICIT:
+            yield (value,) * part.size
+            continue
+        values = [value] * part.size
+        mass = neighbor_mass(spec, k)
+        for common in _common_neighbors(part.graph):
+            share = Fraction(1, common.bit_count() + mass)
+            for v in range(part.size):
+                if common >> v & 1:
+                    values[v] += share
+        yield tuple(values)
 
 
 def global_leaf_neighbor_formula(
@@ -344,8 +392,8 @@ def global_leaf_neighbor_formula(
         raise ValueError(
             "formula requires the leaf's neighbor to have base degree <= 2"
         )
-    n1 = spec.parts[leaf_part].n_vertices
-    n2 = spec.parts[j].n_vertices
+    n1 = spec.parts[leaf_part].size
+    n2 = spec.parts[j].size
     total = bg.graph.n
     return Fraction(n1 * (total - n1 - n2), n2)
 

@@ -1,8 +1,8 @@
 """Simple undirected graphs with dense integer vertices.
 
 Everything downstream builds on this module: an immutable ``Graph``
-type, graph6 and adjacency-list I/O, the classic generator families,
-structural predicates (connectivity, diameter, 2-connectedness), exact
+type, graph6 I/O, the classic generator families, structural
+predicates (connectivity, diameter, 2-connectedness), exact
 isomorphism testing via canonical forms, and isomorphism-free
 enumeration of small graphs and trees.
 
@@ -34,9 +34,7 @@ __all__ = [
     "is_isomorphic",
     "is_tree",
     "is_two_connected",
-    "parse_adjacency_text",
     "parse_graph6",
-    "serialize_adjacency_text",
     "serialize_graph6",
 ]
 
@@ -106,6 +104,11 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return tuple(rows)
+
+    @cached_property
+    def distances(self) -> tuple[tuple[int, ...], ...]:
+        # All-pairs distances; row s is bfs_distances(self, s).
+        return tuple(tuple(bfs_distances(self, s)) for s in range(self.n))
 
     @property
     def edge_count(self) -> int:
@@ -345,34 +348,6 @@ def serialize_graph6(g: Graph) -> str:
     if filled:
         out.append((group << (6 - filled)) + 63)
     return bytes(out).decode("ascii")
-
-
-# ---------------------------------------------------------------------------
-# adjacency-list text format: vertex count on line 1, one "u v" pair per line
-
-
-def parse_adjacency_text(text: str) -> Graph:
-    lines = [line.strip() for line in text.splitlines()]
-    lines = [line for line in lines if line]
-    if not lines:
-        raise ValueError("empty adjacency-list text")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ValueError(f"first line must be the vertex count, got {lines[0]!r}") from None
-    edges = []
-    for line in lines[1:]:
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(f"expected 'u v', got {line!r}")
-        edges.append((int(fields[0]), int(fields[1])))
-    return Graph(n, tuple(edges))
-
-
-def serialize_adjacency_text(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

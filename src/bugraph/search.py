@@ -1,14 +1,14 @@
 """Bounded exhaustive searches for betweenness-uniform blow-ups.
 
 ``search_blowups`` walks every assignment of candidate parts to the
-base vertices within a budget and tests each blown-up graph for
-uniform betweenness.  The hot loop uses an exact integer/rational
-screen (numpy matrix powers for geodesic counts, then per-vertex pair
-sums) that evaluates one representative per interchangeable part;
-swapping two vertices of an independent-set or clique part is an
-automorphism, so equality on representatives is equality everywhere.
+base vertices within a budget and tests each blow-up for uniform
+betweenness.  The hot loop screens with ``betweenness_by_part``, which
+evaluates the exact betweenness decomposition on the base graph and
+the parts without building the blown-up graph, so its cost does not
+depend on part sizes; it stops at the first part whose value differs.
 Every positive is then re-verified twice over, with the two
-independent betweenness algorithms, before it is reported.
+independent betweenness algorithms on the built graph, before it is
+reported.
 
 Pruning: a size-1 part on a base *cut vertex* leaves a cut vertex in
 the blown-up graph, and no uniform graph on three or more vertices has
@@ -29,14 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-import numpy as np
-
 from .betweenness import betweenness_exact, betweenness_oracle, profile_uniformity
 from .blowup import (
-    PART_CLIQUE,
-    PART_EXPLICIT,
     BlowupSpec,
     PartDescriptor,
+    betweenness_by_part,
     blow_up,
     delta_extremal,
     spec_to_json,
@@ -132,100 +129,21 @@ def candidate_parts(budget: SearchBudget) -> tuple[PartDescriptor, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the screen: exact uniformity decision without building Graph objects
-
-
-def _blowup_adjacency(base: Graph, parts) -> np.ndarray:
-    sizes = [p.n_vertices for p in parts]
-    offs = [0]
-    for s in sizes:
-        offs.append(offs[-1] + s)
-    n = offs[-1]
-    a = np.zeros((n, n), dtype=np.int64)
-    for i, p in enumerate(parts):
-        lo, hi = offs[i], offs[i + 1]
-        if p.kind == PART_CLIQUE:
-            a[lo:hi, lo:hi] = 1
-        elif p.kind == PART_EXPLICIT:
-            for u, v in p.graph.edges:
-                a[lo + u, lo + v] = 1
-                a[lo + v, lo + u] = 1
-    for i, j in base.edges:
-        a[offs[i] : offs[i + 1], offs[j] : offs[j + 1]] = 1
-        a[offs[j] : offs[j + 1], offs[i] : offs[i + 1]] = 1
-    np.fill_diagonal(a, 0)
-    return a
-
-
-def _pair_matrices(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distance matrix (-1 unreachable) and geodesic-count matrix.
-
-    Walks of length equal to the distance are exactly the geodesics, so
-    masked powers of the adjacency matrix count them.  The loop stops as
-    soon as a power adds no new pair, which bounds the entries well
-    inside int64 for the graph sizes searched here.
-    """
-    n = a.shape[0]
-    dist = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    counts = np.eye(n, dtype=np.int64)
-    power = a.copy()
-    step = 1
-    while True:
-        mask = (dist == -1) & (power > 0)
-        if not mask.any():
-            break
-        dist[mask] = step
-        counts[mask] = power[mask]
-        if not (dist == -1).any():
-            break
-        power = power @ a
-        step += 1
-    return dist, counts
-
-
-def _betweenness_at(dist: np.ndarray, counts: np.ndarray, x: int) -> Fraction:
-    """Exact betweenness of one vertex from the pair matrices."""
-    dx = dist[x]
-    reach = dx >= 0
-    on = (dx[:, None] + dx[None, :] == dist) & (dist >= 2)
-    on &= reach[:, None] & reach[None, :]
-    on[x, :] = False
-    on[:, x] = False
-    uu, vv = np.nonzero(np.triu(on, 1))
-    if len(uu) == 0:
-        return Fraction(0)
-    nums = counts[uu, x] * counts[x, vv]
-    dens = counts[uu, vv]
-    by_den: dict[int, int] = {}
-    for num, den in zip(nums.tolist(), dens.tolist()):
-        by_den[den] = by_den.get(den, 0) + num
-    total = Fraction(0)
-    for den, num in sorted(by_den.items()):
-        total += Fraction(num, den)
-    return total
+# the screen: exact uniformity decision without building the blow-up
 
 
 def _screen_uniform(base: Graph, parts) -> bool:
-    """Exact uniformity of the blow-up, one representative per I/K part.
+    """Exact uniformity of the blow-up, read off the base and the parts.
 
-    Sound in both directions: representatives of explicit parts cover
-    every vertex, and inside I/K parts all vertices are automorphic.
+    ``base.distances`` is cached on the Graph, so a scan task computes
+    the base distances once, not once per spec.
     """
-    a = _blowup_adjacency(base, parts)
-    dist, counts = _pair_matrices(a)
-    first: Fraction | None = None
-    offset = 0
-    for p in parts:
-        size = p.n_vertices
-        reps = range(offset, offset + size) if p.kind == PART_EXPLICIT else (offset,)
-        for r in reps:
-            val = _betweenness_at(dist, counts, r)
-            if first is None:
-                first = val
-            elif val != first:
-                return False
-        offset += size
+    common = None
+    for values in betweenness_by_part(BlowupSpec(base=base, parts=parts)):
+        if common is None:
+            common = values[0]
+        if any(v != common for v in values):
+            return False
     return True
 
 
@@ -263,7 +181,7 @@ def _scan_task(args) -> tuple[int, list[tuple[int, tuple[PartDescriptor, ...]]],
             completed = False
             break
         parts = _decode_parts(idx, cand_lists)
-        if max_total is not None and sum(p.n_vertices for p in parts) > max_total:
+        if max_total is not None and sum(p.size for p in parts) > max_total:
             continue
         examined += 1
         if _screen_uniform(base, parts):
@@ -290,7 +208,7 @@ def search_blowups(
     cand_lists = []
     for v in range(base.n):
         if v in cuts:
-            cand_lists.append(tuple(c for c in cands if c.n_vertices > 1))
+            cand_lists.append(tuple(c for c in cands if c.size > 1))
         else:
             cand_lists.append(cands)
     space = prod(len(c) for c in cand_lists)

@@ -22,7 +22,6 @@ from bugraph.blowup import (
     delta_xy,
     global_leaf_neighbor_formula,
     neighbor_mass,
-    sigma_within,
     spec_from_json,
     spec_to_json,
 )
@@ -51,7 +50,7 @@ def _rebuilt_edges(spec: BlowupSpec) -> set[tuple[int, int]]:
     # reconstruct the expected edge set from scratch
     offs = [0]
     for p in spec.parts:
-        offs.append(offs[-1] + p.n_vertices)
+        offs.append(offs[-1] + p.size)
     edges: set[tuple[int, int]] = set()
     for i, p in enumerate(spec.parts):
         for u, v in p.realize().edges:
@@ -77,9 +76,9 @@ class TestConstruction:
         expect = 0
         for i, p in enumerate(spec.parts):
             vs = bg.part_vertices[i]
-            assert vs == tuple(range(expect, expect + p.n_vertices))
+            assert vs == tuple(range(expect, expect + p.size))
             assert all(bg.part_of[v] == i for v in vs)
-            expect += p.n_vertices
+            expect += p.size
 
     def test_rejects_single_vertex_base(self):
         with pytest.raises(ValueError):
@@ -184,21 +183,24 @@ class TestMetricStructure:
 
 
 class TestSigmaWithin:
+    """A non-adjacent pair inside part j has c + neighbor_mass(j)
+    geodesics, c of them through common neighbors inside the part; the
+    neighbor share reads c off the part graph."""
+
     def test_clique_adjacent_pair(self):
+        # adjacent pairs have the edge as their only geodesic
         spec = BlowupSpec(
             base=generate("path", 2),
             parts=(PartDescriptor.clique(3), PartDescriptor.independent(1)),
         )
-        bg = blow_up(spec)
-        assert sigma_within(bg, 0, 0, 1) == 1
+        assert closed_form_neighbor_contribution(spec, 1, 0) == 0
 
     def test_independent_pair_counts_inside_common_neighbors(self):
         spec = BlowupSpec(
             base=generate("path", 2),
             parts=(PartDescriptor.independent(2), PartDescriptor.independent(3)),
         )
-        bg = blow_up(spec)
-        assert sigma_within(bg, 0, 0, 1) == 0
+        assert closed_form_neighbor_contribution(spec, 1, 0) == Fraction(1, 0 + 3)
 
     def test_explicit_path_endpoints(self):
         p3 = generate("path", 3)
@@ -206,9 +208,8 @@ class TestSigmaWithin:
             base=generate("path", 2),
             parts=(PartDescriptor.explicit(p3), PartDescriptor.independent(2)),
         )
-        bg = blow_up(spec)
         # one length-2 route through the part's own middle vertex
-        assert sigma_within(bg, 0, 0, 2) == 1
+        assert closed_form_neighbor_contribution(spec, 1, 0) == Fraction(1, 1 + 2)
 
     def test_neighbor_mass_sums_adjacent_parts(self):
         spec = BlowupSpec(
@@ -240,7 +241,7 @@ class TestDecomposition:
         bg = blow_up(spec)
         for i, j in spec.base.edges:
             for pi, pj in ((i, j), (j, i)):
-                want = closed_form_neighbor_contribution(spec, bg, pi, pj)
+                want = closed_form_neighbor_contribution(spec, pi, pj)
                 for x in bg.part_vertices[pi]:
                     dec = decompose_betweenness(bg, x)
                     assert dec.neighbor_locals[pj] == want
@@ -250,17 +251,15 @@ class TestDecomposition:
             base=generate("path", 3),
             parts=tuple(PartDescriptor.independent(2) for _ in range(3)),
         )
-        bg = blow_up(spec)
         with pytest.raises(ValueError):
-            closed_form_neighbor_contribution(spec, bg, 0, 2)
+            closed_form_neighbor_contribution(spec, 0, 2)
 
     def test_clique_neighbor_contributes_nothing(self):
         spec = BlowupSpec(
             base=generate("path", 2),
             parts=(PartDescriptor.independent(3), PartDescriptor.clique(4)),
         )
-        bg = blow_up(spec)
-        assert closed_form_neighbor_contribution(spec, bg, 0, 1) == 0
+        assert closed_form_neighbor_contribution(spec, 0, 1) == 0
 
     def test_middle_part_share_closed_form(self):
         # path3 with independent parts a, a+b, b: the middle part hands
@@ -274,9 +273,8 @@ class TestDecomposition:
                 PartDescriptor.independent(b),
             ),
         )
-        bg = blow_up(spec)
         m = a + b
-        assert closed_form_neighbor_contribution(spec, bg, 0, 1) == Fraction(
+        assert closed_form_neighbor_contribution(spec, 0, 1) == Fraction(
             m * (m - 1) // 2, m
         )
 

@@ -221,7 +221,7 @@ class TestUsage:
         assert run(capsys, "--help")[0] == 0
 
 
-def _run_module(*argv) -> subprocess.CompletedProcess:
+def _run_python(*args) -> subprocess.CompletedProcess:
     # Put the directory of the bugraph imported here first on the child's
     # path, so the child runs the same code whatever the working directory.
     env = dict(os.environ)
@@ -229,17 +229,17 @@ def _run_module(*argv) -> subprocess.CompletedProcess:
         filter(None, [str(Path(bugraph.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, "-m", "bugraph", *argv], capture_output=True, text=True, env=env
+        [sys.executable, *args], capture_output=True, text=True, env=env
     )
 
 
 def test_console_script_end_to_end():
     """Run the console entry point in a child process without installing it."""
-    ok = _run_module("uniform", "-g", C4)
+    ok = _run_python("-m", "bugraph", "uniform", "-g", C4)
     assert ok.returncode == 0, ok.stderr
     assert json.loads(ok.stdout) == {"uniform": True, "common": "1/2"}
 
-    not_uniform = _run_module("uniform", "-g", P4)
+    not_uniform = _run_python("-m", "bugraph", "uniform", "-g", P4)
     assert not_uniform.returncode == 10, not_uniform.stderr
     assert json.loads(not_uniform.stdout)["uniform"] is False
 
@@ -248,6 +248,20 @@ def test_console_script_end_to_end():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     assert scripts["bugraph"] == "bugraph.cli:console_main"
+
+
+def test_cli_imports_only_the_standard_library():
+    # bugraph declares no runtime dependencies, so a cold CLI start loads
+    # nothing from outside the standard library.  multiprocessing adds
+    # __mp_main__, an alias of __main__.
+    proc = _run_python(
+        "-c",
+        "import sys; before = set(sys.modules); import bugraph.cli; "
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names) - {'bugraph', '__mp_main__'}))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(shutil.which("bugraph") is None, reason="bugraph console script not installed")

@@ -23,9 +23,7 @@ from bugraph.graphs import (
     is_isomorphic,
     is_tree,
     is_two_connected,
-    parse_adjacency_text,
     parse_graph6,
-    serialize_adjacency_text,
     serialize_graph6,
 )
 
@@ -58,6 +56,12 @@ class TestGraphType:
         assert g.degree(1) == 3
         assert g.has_edge(2, 1)
         assert not g.has_edge(0, 3)
+
+    def test_distances_rows(self):
+        # a path plus an isolated vertex: -1 marks unreachable pairs
+        g = Graph(4, ((0, 1), (1, 2)))
+        assert g.distances == ((0, 1, 2, -1), (1, 0, 1, -1), (2, 1, 0, -1), (-1, -1, -1, 0))
+        assert g.distances is g.distances
 
     def test_relabel_reverses(self):
         g = Graph(4, ((0, 1), (1, 2), (2, 3)))
@@ -114,16 +118,6 @@ class TestGraph6:
 
     def test_round_trip_empty_graph(self):
         assert parse_graph6(serialize_graph6(Graph(0))) == Graph(0)
-
-
-class TestAdjacencyText:
-    def test_round_trip(self):
-        g = Graph(4, ((0, 1), (1, 2), (2, 3)))
-        assert parse_adjacency_text(serialize_adjacency_text(g)) == g
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_adjacency_text("4\n0 zero\n")
 
 
 class TestGenerate:

@@ -3,19 +3,22 @@
 from __future__ import annotations
 
 import json
+from math import comb
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from bugraph.betweenness import betweenness_exact, is_betweenness_uniform, shortest_path_data
-from bugraph.blowup import blow_up, spec_from_json
+from bugraph.betweenness import betweenness_exact, is_betweenness_uniform
+from bugraph.blowup import (
+    BlowupSpec,
+    PartDescriptor,
+    betweenness_by_part,
+    blow_up,
+    spec_from_json,
+)
 from bugraph.graphs import Graph, diameter, generate, is_isomorphic, serialize_graph6
 from bugraph.search import (
     SearchBudget,
-    _betweenness_at,
-    _blowup_adjacency,
-    _pair_matrices,
     _screen_uniform,
     candidate_parts,
     explore_cut_conjecture,
@@ -34,31 +37,9 @@ from test_blowup import blowup_specs
 class TestScreen:
     @given(blowup_specs(max_base=4, max_part=3))
     @settings(max_examples=60, deadline=None)
-    def test_adjacency_matches_blowup(self, spec):
-        a = _blowup_adjacency(spec.base, spec.parts)
-        g = blow_up(spec).graph
-        want = np.zeros((g.n, g.n), dtype=np.int64)
-        for u, v in g.edges:
-            want[u, v] = want[v, u] = 1
-        assert np.array_equal(a, want)
-
-    @given(blowup_specs(max_base=4, max_part=3))
-    @settings(max_examples=40, deadline=None)
-    def test_pair_matrices_match_bfs(self, spec):
-        g = blow_up(spec).graph
-        dist, counts = _pair_matrices(_blowup_adjacency(spec.base, spec.parts))
-        bfs_dist, bfs_sigma = shortest_path_data(g)
-        assert dist.tolist() == bfs_dist
-        assert counts.tolist() == bfs_sigma
-
-    @given(blowup_specs(max_base=4, max_part=3))
-    @settings(max_examples=40, deadline=None)
     def test_vertex_values_match_exact(self, spec):
-        g = blow_up(spec).graph
-        dist, counts = _pair_matrices(_blowup_adjacency(spec.base, spec.parts))
-        profile = betweenness_exact(g)
-        for v in range(g.n):
-            assert _betweenness_at(dist, counts, v) == profile[v]
+        values = [v for part in betweenness_by_part(spec) for v in part]
+        assert values == betweenness_exact(blow_up(spec).graph)
 
     @given(blowup_specs(max_base=4, max_part=3))
     @settings(max_examples=60, deadline=None)
@@ -66,11 +47,19 @@ class TestScreen:
         want = is_betweenness_uniform(blow_up(spec).graph).uniform
         assert _screen_uniform(spec.base, spec.parts) == want
 
-    def test_disconnected_pair_matrices(self):
-        a = np.zeros((3, 3), dtype=np.int64)
-        a[0, 1] = a[1, 0] = 1
-        dist, counts = _pair_matrices(a)
-        assert dist[0, 2] == -1 and counts[0, 2] == 0
+    def test_large_parts_on_long_path(self):
+        # 40**12 geodesics join two vertices of the end parts, past any
+        # 64-bit integer.  Betweenness sums to the sum of d(u, v) - 1
+        # over all pairs: 40**2 * (d - 1) per pair of parts at base
+        # distance d, and 1 per pair inside a part.
+        spec = BlowupSpec(
+            base=generate("path", 14),
+            parts=tuple(PartDescriptor.independent(40) for _ in range(14)),
+        )
+        values = [v for part in betweenness_by_part(spec) for v in part]
+        assert len(values) == 560
+        cross = sum(j - i - 1 for i in range(14) for j in range(i + 1, 14))
+        assert sum(values) == 40**2 * cross + 14 * comb(40, 2)
 
 
 class TestCandidates:
