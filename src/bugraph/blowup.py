@@ -11,11 +11,14 @@ of a blown-up vertex split cleanly into
 * an own-part share: pairs inside the vertex's own part, and
 * one share per base-neighbor part: pairs inside that part.
 
-``decompose_betweenness`` computes the split from first principles by
-classifying every pair contribution on the built graph.
-``betweenness_by_part`` evaluates all three shares in closed form from
-the base graph and the parts alone, so the two routes can be compared
-exactly.
+``shares_by_part`` is the one production route: it evaluates all
+three shares in closed form from the base graph and the parts alone,
+without building the blow-up.  ``betweenness_by_part`` sums them for
+the search screen, and ``delta_xy``/``delta_extremal`` read them for
+the leaf-part ratio.  The built graph (``blow_up``) serves only as the
+reference: ``decompose_betweenness`` computes the same split from
+first principles by classifying every pair contribution on it, so the
+two routes can be compared exactly.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .betweenness import betweenness_exact, format_rational, shortest_path_data
-from .graphs import Graph, generate, is_connected, is_tree, parse_graph6, serialize_graph6
+from .betweenness import format_rational, shortest_path_data
+from .graphs import Graph, generate, parse_graph6, serialize_graph6
 
 __all__ = [
     "BlownGraph",
@@ -42,8 +45,8 @@ __all__ = [
     "decomposition_json",
     "delta_extremal",
     "delta_xy",
-    "global_leaf_neighbor_formula",
     "neighbor_mass",
+    "shares_by_part",
     "spec_from_json",
     "spec_to_json",
 ]
@@ -121,7 +124,7 @@ class BlowupSpec:
     def __post_init__(self):
         if self.base.n < 2:
             raise ValueError("blow-up base needs at least two vertices")
-        if not is_connected(self.base):
+        if -1 in self.base.distances[0]:
             raise ValueError("blow-up base must be connected")
         if len(self.parts) != self.base.n:
             raise ValueError(
@@ -162,12 +165,6 @@ class BlownGraph:
 
     def base_neighbor_parts(self, i: int) -> tuple[int, ...]:
         return tuple(j for j in range(self.part_count) if self.base_adjacent(i, j))
-
-    def part_mask(self, i: int) -> int:
-        m = 0
-        for v in self.part_vertices[i]:
-            m |= 1 << v
-        return m
 
 
 def blow_up(spec: BlowupSpec) -> BlownGraph:
@@ -307,20 +304,25 @@ def closed_form_neighbor_contribution(spec: BlowupSpec, i: int, j: int) -> Fract
     return sum((Fraction(1, c.bit_count() + mass) for c in pairs), Fraction(0))
 
 
-def betweenness_by_part(spec: BlowupSpec) -> Iterator[tuple[Fraction, ...]]:
-    """Exact betweenness of the blow-up, part by part, without building it.
+def shares_by_part(
+    spec: BlowupSpec,
+) -> Iterator[tuple[Fraction, dict[int, Fraction], tuple[Fraction, ...] | None]]:
+    """The three betweenness shares of each part, without building the blow-up.
 
-    Yields one tuple per base vertex k: the values of part k's vertices
-    in ``blow_up`` order.  A vertex v of part k gets three shares:
+    Yields one ``(global, neighbor, own)`` triple per base vertex k; they
+    equal the fields of ``decompose_betweenness`` at every vertex of
+    part k:
 
     * global: s_i * s_j * W(i, k) * W(k, j) / W(i, j) summed over base
       pairs i < j, both other than k, with k on an i,j-geodesic.  s_i
       is the size of part i, and W(i, j) counts the base i,j-geodesics,
       each weighted by the product of the sizes of its interior parts;
-    * neighbor: ``closed_form_neighbor_contribution`` summed over the
-      base neighbors of k;
-    * own: 1 / (c(x, y) + neighbor_mass(k)) summed over non-adjacent
-      pairs x, y of H_k that both neighbor v; zero for I and K parts.
+    * neighbor: ``closed_form_neighbor_contribution`` for each base
+      neighbor j of k, keyed by j;
+    * own: for an explicit part, the share of each of its vertices v in
+      ``blow_up`` order, 1 / (c(x, y) + neighbor_mass(k)) summed over
+      non-adjacent pairs x, y of H_k that both neighbor v.  It is
+      ``None`` for I and K parts, whose own share is zero.
 
     The work depends on the base and on explicit part graphs, never on
     the sizes of I and K parts.  Parts are evaluated lazily, so a caller
@@ -343,59 +345,36 @@ def betweenness_by_part(spec: BlowupSpec) -> Iterator[tuple[Fraction, ...]]:
         w.append(wi)
     for k, part in enumerate(spec.parts):
         dk = dist[k]
-        value = Fraction(0)
+        glob = Fraction(0)
         for i in range(n):
             di = dist[i]
             for j in range(i + 1, n):
                 if k != i and k != j and di[k] + dk[j] == di[j]:
-                    value += Fraction(sizes[i] * sizes[j] * w[i][k] * w[k][j], w[i][j])
-        for j in adj[k]:
-            value += closed_form_neighbor_contribution(spec, k, j)
-        if part.kind != PART_EXPLICIT:
-            yield (value,) * part.size
-            continue
-        values = [value] * part.size
-        mass = neighbor_mass(spec, k)
-        for common in _common_neighbors(part.graph):
-            share = Fraction(1, common.bit_count() + mass)
-            for v in range(part.size):
-                if common >> v & 1:
-                    values[v] += share
-        yield tuple(values)
+                    glob += Fraction(sizes[i] * sizes[j] * w[i][k] * w[k][j], w[i][j])
+        nbr = {j: closed_form_neighbor_contribution(spec, k, j) for j in adj[k]}
+        own = None
+        if part.kind == PART_EXPLICIT:
+            own = [Fraction(0)] * part.size
+            mass = neighbor_mass(spec, k)
+            for common in _common_neighbors(part.graph):
+                share = Fraction(1, common.bit_count() + mass)
+                for v in range(part.size):
+                    if common >> v & 1:
+                        own[v] += share
+            own = tuple(own)
+        yield glob, nbr, own
 
 
-def global_leaf_neighbor_formula(
-    spec: BlowupSpec, bg: BlownGraph, y: int, leaf_part: int = 0
-) -> Fraction:
-    """Global share of B(y) for y in the part next to a leaf part.
+def betweenness_by_part(spec: BlowupSpec) -> Iterator[tuple[Fraction, ...]]:
+    """Exact betweenness of the blow-up, part by part, without building it.
 
-    Requires a tree base, ``leaf_part`` of base degree one adjacent to
-    y's part, and y's part of base degree at most two.  Under those
-    conditions every pair routed through y's part joins the leaf part
-    to the rest of the graph and spreads evenly, giving
-
-        |H_leaf| * (N - |H_leaf| - |H_y|) / |H_y|.
-
-    With a third branch at y's part (base degree >= 3) extra pairs
-    cross between the other branches and the formula undercounts, so
-    that case is rejected.
+    Yields one tuple per base vertex k: the values of part k's vertices
+    in ``blow_up`` order, each the sum of the three shares that
+    ``shares_by_part`` gives.  Lazy like it.
     """
-    base = spec.base
-    if not is_tree(base):
-        raise ValueError("formula requires a tree base")
-    if base.degree(leaf_part) != 1:
-        raise ValueError(f"part {leaf_part} is not a leaf of the base")
-    j = bg.part_of[y]
-    if not base.has_edge(leaf_part, j):
-        raise ValueError(f"vertex {y} is not in a part adjacent to part {leaf_part}")
-    if base.degree(j) > 2:
-        raise ValueError(
-            "formula requires the leaf's neighbor to have base degree <= 2"
-        )
-    n1 = spec.parts[leaf_part].size
-    n2 = spec.parts[j].size
-    total = bg.graph.n
-    return Fraction(n1 * (total - n1 - n2), n2)
+    for part, (glob, nbr, own) in zip(spec.parts, shares_by_part(spec)):
+        value = sum(nbr.values(), glob)
+        yield (value,) * part.size if own is None else tuple(value + o for o in own)
 
 
 class DeltaUndefinedError(ValueError):
@@ -409,35 +388,34 @@ class DeltaResult:
     y: int
 
 
-def _leaf_context(bg: BlownGraph, x: int, y: int) -> tuple[int, int]:
-    px = bg.part_of[x]
-    py = bg.part_of[y]
-    nbrs = bg.base_neighbor_parts(px)
+def _locate(spec: BlowupSpec, v: int) -> tuple[int, int]:
+    """Part of blown-up vertex v and v's index inside it."""
+    if 0 <= v < spec.total_vertices:
+        for k, part in enumerate(spec.parts):
+            if v < part.size:
+                return k, v
+            v -= part.size
+    raise ValueError(f"vertex {v} out of range")
+
+
+def _leaf_neighbor(spec: BlowupSpec, leaf_part: int) -> int:
+    nbrs = spec.base.adjacency[leaf_part] if 0 <= leaf_part < spec.base.n else ()
     if len(nbrs) != 1:
-        raise ValueError(f"part {px} of x is not a leaf part of the base")
-    if nbrs[0] != py:
+        raise ValueError(f"part {leaf_part} is not a leaf part of the base")
+    return nbrs[0]
+
+
+def _delta(spec: BlowupSpec, shares, x: int, y: int) -> Fraction:
+    px, ix = _locate(spec, x)
+    py, iy = _locate(spec, y)
+    if _leaf_neighbor(spec, px) != py:
         raise ValueError(f"y must sit in the unique base neighbor of part {px}")
-    return px, py
-
-
-def delta_xy(spec: BlowupSpec, x: int, y: int, *, blown: BlownGraph | None = None) -> Fraction:
-    """Ratio comparing B(x) to B(y) across a leaf part boundary.
-
-    x lives in a leaf part, y in that leaf's unique neighbor part.  The
-    ratio is (B_own(x)-share y lacks) over (everything B(y) has that
-    B(x) lacks); it equals 1 exactly when B(x) = B(y), and is < 1 when
-    B(x) < B(y).  Raises DeltaUndefinedError when the denominator is 0,
-    which happens for degenerate bases like a single edge.
-    """
-    bg = blown if blown is not None else blow_up(spec)
-    px, py = _leaf_context(bg, x, y)
-    dx = decompose_betweenness(bg, x)
-    dy = decompose_betweenness(bg, y)
-    numer = dx.neighbor_locals[py] - dy.own_local
-    denom = dy.global_part + (dy.neighbor_locals[px] - dx.own_local)
-    for j, val in dy.neighbor_locals.items():
-        if j != px:
-            denom += val
+    _, nbr_x, own_x = shares[px]
+    glob_y, nbr_y, own_y = shares[py]
+    own_x = own_x[ix] if own_x else 0
+    own_y = own_y[iy] if own_y else 0
+    numer = nbr_x[py] - own_y
+    denom = glob_y + (nbr_y[px] - own_x) + sum(v for j, v in nbr_y.items() if j != px)
     if denom == 0:
         raise DeltaUndefinedError(
             f"denominator of the x/y betweenness ratio vanished (x={x}, y={y})"
@@ -445,20 +423,33 @@ def delta_xy(spec: BlowupSpec, x: int, y: int, *, blown: BlownGraph | None = Non
     return numer / denom
 
 
-def delta_extremal(
-    spec: BlowupSpec, *, leaf_part: int = 0, blown: BlownGraph | None = None
-) -> DeltaResult:
+def delta_xy(spec: BlowupSpec, x: int, y: int) -> Fraction:
+    """Ratio comparing B(x) to B(y) across a leaf part boundary.
+
+    x lives in a leaf part, y in that leaf's unique neighbor part;
+    both are numbered as in ``blow_up``.  The ratio is (B_own(x)-share
+    y lacks) over (everything B(y) has that B(x) lacks); it equals 1
+    exactly when B(x) = B(y), and is < 1 when B(x) < B(y).  The shares
+    come from ``shares_by_part``.  Raises DeltaUndefinedError when the
+    denominator is 0, which happens for degenerate bases like a single
+    edge.
+    """
+    return _delta(spec, list(shares_by_part(spec)), x, y)
+
+
+def delta_extremal(spec: BlowupSpec, *, leaf_part: int = 0) -> DeltaResult:
     """delta_xy at the extremal pair: x maximizes betweenness over the
     leaf part, y minimizes it over the neighbor part (lowest index on
-    ties)."""
-    bg = blown if blown is not None else blow_up(spec)
-    nbrs = bg.base_neighbor_parts(leaf_part)
-    if len(nbrs) != 1:
-        raise ValueError(f"part {leaf_part} is not a leaf part of the base")
-    profile = betweenness_exact(bg.graph)
-    x = max(bg.part_vertices[leaf_part], key=lambda v: (profile[v], -v))
-    y = min(bg.part_vertices[nbrs[0]], key=lambda v: (profile[v], v))
-    return DeltaResult(value=delta_xy(spec, x, y, blown=bg), x=x, y=y)
+    ties).  Inside a part only the own share varies, so it decides."""
+    py = _leaf_neighbor(spec, leaf_part)
+    shares = list(shares_by_part(spec))
+    own_x, own_y = shares[leaf_part][2], shares[py][2]
+    # max and min return the first extremum, which is the lowest index
+    ix = max(range(len(own_x)), key=own_x.__getitem__) if own_x else 0
+    iy = min(range(len(own_y)), key=own_y.__getitem__) if own_y else 0
+    x = sum(p.size for p in spec.parts[:leaf_part]) + ix
+    y = sum(p.size for p in spec.parts[:py]) + iy
+    return DeltaResult(value=_delta(spec, shares, x, y), x=x, y=y)
 
 
 # ---------------------------------------------------------------------------

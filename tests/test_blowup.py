@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bugraph.graphs
 from bugraph.betweenness import betweenness_exact
 from bugraph.blowup import (
     BlowupSpec,
+    DeltaResult,
     DeltaUndefinedError,
     PartDescriptor,
     blow_up,
@@ -20,8 +22,8 @@ from bugraph.blowup import (
     decomposition_json,
     delta_extremal,
     delta_xy,
-    global_leaf_neighbor_formula,
     neighbor_mass,
+    shares_by_part,
     spec_from_json,
     spec_to_json,
 )
@@ -29,6 +31,7 @@ from bugraph.graphs import (
     Graph,
     bfs_distances,
     enumerate_graphs,
+    enumerate_trees,
     generate,
     is_isomorphic,
 )
@@ -37,8 +40,14 @@ from conftest import connected_graphs
 
 
 @st.composite
-def blowup_specs(draw, min_base: int = 2, max_base: int = 4, max_part: int = 3):
-    base = draw(connected_graphs(min_n=min_base, max_n=max_base))
+def blowup_specs(
+    draw, min_base: int = 2, max_base: int = 4, max_part: int = 3, trees: bool = False
+):
+    if trees:
+        pool = [t for n in range(min_base, max_base + 1) for t in enumerate_trees(n)]
+        base = draw(st.sampled_from(pool))
+    else:
+        base = draw(connected_graphs(min_n=min_base, max_n=max_base))
     pool = [g for s in range(1, max_part + 1) for g in enumerate_graphs(s)]
     parts = tuple(
         PartDescriptor.for_graph(draw(st.sampled_from(pool))) for _ in range(base.n)
@@ -90,6 +99,23 @@ class TestConstruction:
                 base=Graph(2, ()),
                 parts=(PartDescriptor.independent(1), PartDescriptor.independent(1)),
             )
+
+    def test_connectivity_check_reuses_base_distances(self, monkeypatch):
+        # the search screen builds one spec per part assignment on a
+        # fixed base; checking connectivity must not run a BFS each time
+        calls = []
+        bfs = bugraph.graphs.bfs_distances
+
+        def counting_bfs(g, source):
+            calls.append(source)
+            return bfs(g, source)
+
+        monkeypatch.setattr(bugraph.graphs, "bfs_distances", counting_bfs)
+        base = generate("cycle", 5)
+        for s in range(100):
+            parts = tuple(PartDescriptor.independent(1 + s % 4) for _ in range(5))
+            BlowupSpec(base=base, parts=parts)
+        assert len(calls) <= base.n
 
     def test_rejects_wrong_part_count(self):
         with pytest.raises(ValueError):
@@ -307,38 +333,58 @@ class TestLeafGlobalFormula:
         bg = blow_up(spec)
         y = bg.part_vertices[1][0]
         want = Fraction(2 * (9 - 2 - 3), 3)
-        assert global_leaf_neighbor_formula(spec, bg, y, leaf_part=0) == want
+        glob, _, _ = list(shares_by_part(spec))[1]
+        assert glob == want
         assert decompose_betweenness(bg, y).global_part == want
 
-    def test_rejects_cycle_base(self):
-        spec = BlowupSpec(
-            base=generate("cycle", 3),
-            parts=tuple(PartDescriptor.independent(2) for _ in range(3)),
-        )
-        bg = blow_up(spec)
-        with pytest.raises(ValueError):
-            global_leaf_neighbor_formula(spec, bg, 0, leaf_part=0)
+    @given(blowup_specs(max_base=6, trees=True))
+    @settings(max_examples=60)
+    def test_leaf_formula_on_trees(self, spec):
+        # the paper's leaf formula: next to a leaf part, a part of base
+        # degree <= 2 routes only pairs from the leaf to the rest
+        base = spec.base
+        shares = list(shares_by_part(spec))
+        for leaf in range(base.n):
+            if base.degree(leaf) != 1:
+                continue
+            (j,) = base.adjacency[leaf]
+            if base.degree(j) > 2:
+                continue
+            n1, n2 = spec.parts[leaf].size, spec.parts[j].size
+            want = Fraction(n1 * (spec.total_vertices - n1 - n2), n2)
+            assert shares[j][0] == want
 
-    def test_rejects_non_leaf_part(self):
-        spec = BlowupSpec(
-            base=generate("path", 4),
-            parts=tuple(PartDescriptor.independent(2) for _ in range(4)),
-        )
-        bg = blow_up(spec)
-        with pytest.raises(ValueError):
-            global_leaf_neighbor_formula(spec, bg, bg.part_vertices[2][0], leaf_part=1)
 
-    def test_rejects_high_degree_neighbor(self):
-        # on a star base the center sees several leaf parts at once and
-        # the two-part formula undercounts, so the guard must refuse
-        spec = BlowupSpec(
-            base=generate("star", 3),
-            parts=tuple(PartDescriptor.independent(2) for _ in range(4)),
-        )
-        bg = blow_up(spec)
-        y = bg.part_vertices[3][0]
-        with pytest.raises(ValueError):
-            global_leaf_neighbor_formula(spec, bg, y, leaf_part=0)
+def _reference_delta(spec: BlowupSpec, leaf_part: int = 0) -> DeltaResult:
+    """The extremal ratio from first principles on the built blow-up."""
+    bg = blow_up(spec)
+    nbrs = bg.base_neighbor_parts(leaf_part)
+    assert len(nbrs) == 1
+    px, py = leaf_part, nbrs[0]
+    profile = betweenness_exact(bg.graph)
+    x = max(bg.part_vertices[px], key=lambda v: (profile[v], -v))
+    y = min(bg.part_vertices[py], key=lambda v: (profile[v], v))
+    dx = decompose_betweenness(bg, x)
+    dy = decompose_betweenness(bg, y)
+    numer = dx.neighbor_locals[py] - dy.own_local
+    denom = dy.global_part + (dy.neighbor_locals[px] - dx.own_local)
+    for j, val in dy.neighbor_locals.items():
+        if j != px:
+            denom += val
+    if denom == 0:
+        raise DeltaUndefinedError("reference denominator vanished")
+    return DeltaResult(value=numer / denom, x=x, y=y)
+
+
+def _assert_matches_reference(spec: BlowupSpec, leaf_part: int = 0) -> None:
+    try:
+        want = _reference_delta(spec, leaf_part)
+    except DeltaUndefinedError:
+        with pytest.raises(DeltaUndefinedError):
+            delta_extremal(spec, leaf_part=leaf_part)
+        return
+    assert delta_extremal(spec, leaf_part=leaf_part) == want
+    assert delta_xy(spec, want.x, want.y) == want.value
 
 
 class TestDelta:
@@ -395,9 +441,46 @@ class TestDelta:
             base=generate("cycle", 3),
             parts=tuple(PartDescriptor.independent(2) for _ in range(3)),
         )
-        bg = blow_up(spec)
         with pytest.raises(ValueError):
-            delta_xy(spec, 0, 2, blown=bg)
+            delta_xy(spec, 0, 2)
+
+    def test_rejects_out_of_range_vertices(self):
+        spec = BlowupSpec(
+            base=generate("path", 3),
+            parts=(
+                PartDescriptor.independent(2),
+                PartDescriptor.independent(3),
+                PartDescriptor.independent(1),
+            ),
+        )
+        delta_xy(spec, 0, 2)
+        for x, y in ((-1, 2), (6, 2), (0, -1), (0, 6)):
+            with pytest.raises(ValueError):
+                delta_xy(spec, x, y)
+
+    def test_lemma_specs_match_reference(self):
+        # every spec of the extremal-part lemmas: m <= 4 on both grids
+        base = generate("path", 4)
+        cases = 0
+        for h in (h for m in range(1, 5) for h in enumerate_graphs(m)):
+            cand = PartDescriptor.for_graph(h)
+            for a, c, d in product((1, 2, 3), repeat=3):
+                for parts in (
+                    (PartDescriptor.clique(a), cand,
+                     PartDescriptor.independent(c), PartDescriptor.clique(d)),
+                    (cand, PartDescriptor.independent(a),
+                     PartDescriptor.independent(c), PartDescriptor.clique(d)),
+                ):
+                    _assert_matches_reference(BlowupSpec(base=base, parts=parts))
+                    cases += 1
+        assert cases == 972
+
+    @given(blowup_specs(max_base=5, trees=True))
+    @settings(max_examples=60, deadline=None)
+    def test_tree_leaf_parts_match_reference(self, spec):
+        for leaf in range(spec.base.n):
+            if spec.base.degree(leaf) == 1:
+                _assert_matches_reference(spec, leaf)
 
 
 class TestSerialization:
