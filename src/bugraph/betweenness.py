@@ -2,15 +2,20 @@
 
 The betweenness of x is the sum over unordered vertex pairs {u, v} not
 containing x of the fraction of shortest u,v-paths passing through x.
-All arithmetic is ``fractions.Fraction``; nothing here ever touches a
-float, so "uniform" below means literal equality of rationals.
+All arithmetic is exact, in ints and ``fractions.Fraction``; nothing
+here ever touches a float, so "uniform" below means literal equality
+of rationals.
 
 Two algorithms are provided on purpose:
 
 * ``betweenness_exact`` - one BFS per source with dependency
-  accumulation over rational partial sums.
-* ``betweenness_oracle`` - per-pair path counting: sigma_{u,v}(x) =
-  sigma(u,x) * sigma(x,v) whenever x sits on a u,v-geodesic.
+  accumulation (Brandes 2001) in integers only: each source's
+  dependencies are scaled by the lcm of its geodesic counts, all
+  sources share one running denominator, and each vertex gets a single
+  ``Fraction`` at the end.
+* ``betweenness_oracle`` - per-pair path counting over ``Fraction``:
+  sigma_{u,v}(x) = sigma(u,x) * sigma(x,v) whenever x sits on a
+  u,v-geodesic.
 
 They share no shortest-path code, so agreement between them is a real
 check rather than a tautology.  Disconnected input is fine; pairs in
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .graphs import Graph
@@ -43,10 +49,18 @@ def betweenness_exact(g: Graph) -> list[Fraction]:
     Each source contributes delta_s(v) = sum over successors w of
     (sigma_sv / sigma_sw) * (1 + delta_s(w)); summing over sources
     counts every unordered pair twice, hence the final halving.
+
+    The recurrence runs on the integers t(v) = L * delta_s(v) / sigma_sv,
+    where L (``scale``) is the lcm of the sigma_sw over the vertices w
+    reached from s: t(v) = sum over successors w of (L / sigma_sw + t(w)).
+    Each delta_s(w) = sigma_sw * t(w) / L is added to an integer
+    numerator over one running denominator D (``den``), kept a multiple
+    of every L seen so far.
     """
     n = g.n
     adj = g.adjacency
-    acc = [Fraction(0)] * n
+    num = [0] * n
+    den = 1
     for s in range(n):
         dist = [-1] * n
         sigma = [0] * n
@@ -67,14 +81,23 @@ def betweenness_exact(g: Graph) -> list[Fraction]:
                 if dist[w] == dv1:
                     sigma[w] += sv
                     preds[w].append(v)
-        delta = [Fraction(0)] * n
-        for w in reversed(order):
-            coeff = (1 + delta[w]) / sigma[w]
+        scale = lcm(*[sigma[w] for w in order])
+        if den % scale:
+            k = scale // gcd(den, scale)
+            num = [x * k for x in num]
+            den *= k
+        factor = den // scale
+        t = [0] * n
+        for w in reversed(order[1:]):  # the source itself gains nothing
+            tw = t[w]
+            c = scale // sigma[w] + tw
             for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                acc[w] += delta[w]
-    return [a / 2 for a in acc]
+                t[v] += c
+            if tw:
+                num[w] += sigma[w] * tw * factor
+    # Equal values share one Fraction, so a uniform profile holds one.
+    values = {x: Fraction(x, 2 * den) for x in set(num)}
+    return [values[x] for x in num]
 
 
 def _counting_bfs(adj, n: int, s: int) -> tuple[list[int], list[int]]:

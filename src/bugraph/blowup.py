@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
@@ -157,6 +158,11 @@ class BlownGraph:
     def part_count(self) -> int:
         return len(self.part_vertices)
 
+    @cached_property
+    def path_data(self) -> tuple[list[list[int]], list[list[int]]]:
+        """``shortest_path_data`` of the blown-up graph, computed once."""
+        return shortest_path_data(self.graph)
+
     def base_adjacent(self, i: int, j: int) -> bool:
         # Cross-part edges are all-or-nothing, so one probe decides.
         if i == j:
@@ -231,7 +237,7 @@ def decompose_betweenness(bg: BlownGraph, v: int) -> Decomposition:
     if not (0 <= v < n):
         raise ValueError(f"vertex {v} out of range")
     pv = bg.part_of[v]
-    dist, sigma = shortest_path_data(g)
+    dist, sigma = bg.path_data
     glob = Fraction(0)
     own = Fraction(0)
     nbr: dict[int, Fraction] = {j: Fraction(0) for j in bg.base_neighbor_parts(pv)}

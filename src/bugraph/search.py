@@ -24,7 +24,6 @@ report with ``exhausted=False``, never a silently truncated one.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -223,6 +222,10 @@ def search_blowups(
         )
         exhausted = completed
     else:
+        # Imported here: the pool pulls in multiprocessing, which only
+        # parallel searches need.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, -(-space // (jobs * 8)))
         tasks = [
             (base, cand_lists, lo, min(lo + chunk, space), budget.max_total_vertices, deadline)

@@ -16,7 +16,9 @@ from bugraph.betweenness import (
     profile_uniformity,
     shortest_path_data,
 )
+from bugraph.blowup import BlowupSpec, PartDescriptor, blow_up
 from bugraph.graphs import (
+    Graph,
     bfs_distances,
     enumerate_graphs,
     enumerate_trees,
@@ -26,6 +28,7 @@ from bugraph.graphs import (
 )
 
 from conftest import graphs
+from test_blowup import blowup_specs
 
 
 class TestAgreement:
@@ -37,6 +40,67 @@ class TestAgreement:
     @given(graphs(min_n=1, max_n=7))
     @settings(max_examples=60)
     def test_exact_equals_oracle_random(self, g):
+        assert betweenness_exact(g) == betweenness_oracle(g)
+
+
+def _disjoint_union(*parts: Graph) -> Graph:
+    edges, offset = [], 0
+    for g in parts:
+        edges.extend((offset + u, offset + v) for u, v in g.edges)
+        offset += g.n
+    return Graph(offset, tuple(edges))
+
+
+def _grid(rows: int, cols: int) -> Graph:
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range(rows * cols - cols)]
+    return Graph(rows * cols, tuple(edges))
+
+
+class TestIntegerEngine:
+    """betweenness_exact scales each source by an lcm of path counts and
+    keeps one running denominator; these inputs make that denominator
+    grow and change from source to source."""
+
+    def test_path_blowup_with_prime_parts(self):
+        # geodesic counts are products of distinct primes
+        spec = BlowupSpec(
+            base=generate("path", 7),
+            parts=tuple(PartDescriptor.independent(p) for p in (2, 3, 5, 7, 11, 13, 17)),
+        )
+        g = blow_up(spec).graph
+        assert betweenness_exact(g) == betweenness_oracle(g)
+
+    def test_cycle_blowup_alternating_parts(self):
+        spec = BlowupSpec(
+            base=generate("cycle", 6),
+            parts=tuple(
+                PartDescriptor.independent(12) if i % 2 else PartDescriptor.clique(12)
+                for i in range(6)
+            ),
+        )
+        g = blow_up(spec).graph
+        assert betweenness_exact(g) == betweenness_oracle(g)
+
+    def test_disconnected_components_with_different_counts(self, petersen):
+        g = _disjoint_union(
+            _grid(3, 4),
+            generate("cycle", 6),
+            petersen,
+            generate("path", 4),
+            Graph(1),
+            generate("star", 3),
+        )
+        assert betweenness_exact(g) == betweenness_oracle(g)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_trivial_graphs(self, n):
+        assert betweenness_exact(Graph(n)) == betweenness_oracle(Graph(n)) == [0] * n
+
+    @given(blowup_specs())
+    @settings(max_examples=40, deadline=None)
+    def test_blowups_match_oracle(self, spec):
+        g = blow_up(spec).graph
         assert betweenness_exact(g) == betweenness_oracle(g)
 
 
@@ -109,14 +173,10 @@ class TestUniformity:
         assert profile_uniformity([]) == (True, None)
 
     def test_single_vertex(self):
-        from bugraph.graphs import Graph
-
         verdict = is_betweenness_uniform(Graph(1))
         assert verdict.uniform and verdict.common == 0
 
     def test_disconnected_zero_profile(self):
-        from bugraph.graphs import Graph
-
         assert is_betweenness_uniform(Graph(3, ())).uniform
 
 

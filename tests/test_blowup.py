@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bugraph.blowup
 import bugraph.graphs
 from bugraph.betweenness import betweenness_exact
 from bugraph.blowup import (
@@ -271,6 +272,25 @@ class TestDecomposition:
                 for x in bg.part_vertices[pi]:
                     dec = decompose_betweenness(bg, x)
                     assert dec.neighbor_locals[pj] == want
+
+    def test_path_data_computed_once_per_blowup(self, monkeypatch):
+        # decomposing every vertex reads one all-pairs computation
+        calls = []
+        spd = bugraph.blowup.shortest_path_data
+
+        def counting_spd(g):
+            calls.append(g)
+            return spd(g)
+
+        monkeypatch.setattr(bugraph.blowup, "shortest_path_data", counting_spd)
+        spec = BlowupSpec(
+            base=generate("path", 4),
+            parts=tuple(PartDescriptor.independent(2) for _ in range(4)),
+        )
+        bg = blow_up(spec)
+        for v in range(bg.graph.n):
+            decompose_betweenness(bg, v)
+        assert len(calls) == 1
 
     def test_closed_form_requires_base_edge(self):
         spec = BlowupSpec(

@@ -252,13 +252,24 @@ def test_console_script_end_to_end():
 
 def test_cli_imports_only_the_standard_library():
     # bugraph declares no runtime dependencies, so a cold CLI start loads
-    # nothing from outside the standard library.  multiprocessing adds
-    # __mp_main__, an alias of __main__.
+    # nothing from outside the standard library.
     proc = _run_python(
         "-c",
         "import sys; before = set(sys.modules); import bugraph.cli; "
         "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
-        "print(sorted(new - set(sys.stdlib_module_names) - {'bugraph', '__mp_main__'}))",
+        "print(sorted(new - set(sys.stdlib_module_names) - {'bugraph'}))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_start_does_not_load_the_process_pool():
+    # Only a parallel search needs concurrent.futures and multiprocessing.
+    proc = _run_python(
+        "-c",
+        "import sys; import bugraph.cli; "
+        "print(sorted({m.partition('.')[0] for m in sys.modules} "
+        "& {'concurrent', 'multiprocessing'}))",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
