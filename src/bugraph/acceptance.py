@@ -38,10 +38,9 @@ from .blowup import (
     shares_by_part,
 )
 from .constructions import (
-    P4SizeTuple,
+    _p4_inequalities,
     p2_clique_spec,
     p3_independent_spec,
-    p4_infeasibility_check,
     star_spec,
 )
 from .graphs import (
@@ -270,8 +269,7 @@ def _c9_p4_infeasible(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]
         for b in range(1, 21):
             for c in range(1, 21):
                 for d in range(1, 21):
-                    rep = p4_infeasibility_check(P4SizeTuple(a, b, c, d))
-                    if not rep.combined_violated:
+                    if not _p4_inequalities(a, b, c, d)[2]:
                         return False, f"inequality chain not violated at {(a, b, c, d)}"
     grid_secs = time.perf_counter() - t0
     max_size = 6 if level == "full" else 4

@@ -21,7 +21,6 @@ the rational inequalities are compared after clearing denominators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .blowup import BlowupSpec, PartDescriptor
 from .graphs import generate
@@ -129,20 +128,26 @@ def p4_infeasibility_check(t: P4SizeTuple) -> P4InfeasibilityReport:
     can never hold together (their sum reads 0 >= positive), which is
     asserted on every call.
     """
-    a, b, c, d = t.a, t.b, t.c, t.d
-    # C(b,2)/(a+c) >= a(c+d)/b + C(c,2)/(b+d), times (a+c)*b*(b+d):
-    ineq1 = comb(b, 2) * b * (b + d) >= (
-        a * (c + d) * (a + c) * (b + d) + comb(c, 2) * b * (a + c)
-    )
-    # C(c,2)/(b+d) >= d(a+b)/c + C(b,2)/(a+c), times (b+d)*c*(a+c):
-    ineq2 = comb(c, 2) * c * (a + c) >= (
-        d * (a + b) * (b + d) * (a + c) + comb(b, 2) * c * (b + d)
-    )
-    combined = a * c * (c + d) + b * d * (a + b) > 0
-    if ineq1 and ineq2:
-        raise AssertionError(
-            f"both uniformity inequalities held for {t}; they are mutually exclusive"
-        )
+    ineq1, ineq2, combined = _p4_inequalities(t.a, t.b, t.c, t.d)
     return P4InfeasibilityReport(
         tuple=t, ineq1_holds=ineq1, ineq2_holds=ineq2, combined_violated=combined
     )
+
+
+def _p4_inequalities(a: int, b: int, c: int, d: int) -> tuple[bool, bool, bool]:
+    # (ineq1_holds, ineq2_holds, combined_violated) of
+    # p4_infeasibility_check, on bare sizes: the acceptance grid checks
+    # 160,000 tuples and needs no report objects.
+    ab, ac, bd, cd = a + b, a + c, b + d, c + d
+    cb, cc = b * (b - 1) // 2, c * (c - 1) // 2  # C(b,2), C(c,2)
+    # C(b,2)/(a+c) >= a(c+d)/b + C(c,2)/(b+d), times (a+c)*b*(b+d):
+    ineq1 = cb * b * bd >= a * cd * ac * bd + cc * b * ac
+    # C(c,2)/(b+d) >= d(a+b)/c + C(b,2)/(a+c), times (b+d)*c*(a+c):
+    ineq2 = cc * c * ac >= d * ab * bd * ac + cb * c * bd
+    combined = a * c * cd + b * d * ab > 0
+    if ineq1 and ineq2:
+        raise AssertionError(
+            f"both uniformity inequalities held for sizes {(a, b, c, d)}; "
+            "they are mutually exclusive"
+        )
+    return ineq1, ineq2, combined

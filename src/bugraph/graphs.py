@@ -362,34 +362,30 @@ def serialize_graph6(g: Graph) -> str:
 # independent sets, blow-up parts) from exploding the branch count.
 
 
-def _color_classes(g: Graph) -> list[int]:
-    n = g.n
-    if n == 0:
-        return []
-    adj = g.adjacency
-    colors = [len(adj[v]) for v in range(n)]
+def _color_classes(n: int, bits) -> list[int]:
+    nbrs = [[u for u in range(n) if row >> u & 1] for row in bits]
+    colors = [len(a) for a in nbrs]
     nclasses = len(set(colors))
     while True:
-        keys = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)]
+        keys = [(colors[v], tuple(sorted([colors[u] for u in nbrs[v]]))) for v in range(n)]
         uniq = sorted(set(keys))
         rank = {key: i for i, key in enumerate(uniq)}
-        colors = [rank[keys[v]] for v in range(n)]
+        colors = [rank[key] for key in keys]
         if len(uniq) == nclasses:
             return colors
         nclasses = len(uniq)
 
 
-def _canonical_search(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Return (perm, form): perm[slot] = original vertex, form = bit groups.
+def _canonical_search(n: int, bits) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Return (perm, form) for the graph with adjacency row masks ``bits``:
+    perm[slot] = original vertex, form = bit groups.
 
     ``form[k]`` packs the adjacency of slot k against slots 0..k-1, most
     significant bit first, so comparing tuples compares bit strings.
     """
-    n = g.n
     if n == 0:
         return (), ()
-    bits = g.adjacency_bits
-    colors = _color_classes(g)
+    colors = _color_classes(n, bits)
     members: dict[int, list[int]] = {}
     for v in range(n):
         members.setdefault(colors[v], []).append(v)
@@ -449,13 +445,13 @@ def _canonical_search(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def canonical_form(g: Graph) -> tuple[int, ...]:
     """Label-invariant encoding: equal forms iff isomorphic graphs."""
-    _, form = _canonical_search(g)
+    _, form = _canonical_search(g.n, g.adjacency_bits)
     return (g.n,) + form
 
 
 def canonical_relabel(g: Graph) -> Graph:
     """The canonically labeled representative of g's isomorphism class."""
-    perm, _ = _canonical_search(g)
+    perm, _ = _canonical_search(g.n, g.adjacency_bits)
     new_of_old = [0] * g.n
     for slot, old in enumerate(perm):
         new_of_old[old] = slot
@@ -477,51 +473,77 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 # Every graph on n vertices arises from some graph on n-1 vertices by adding
 # one vertex with an arbitrary neighborhood, and every tree arises by
 # attaching one leaf.  Extending every class by every neighborhood (resp.
-# every attachment point) and deduplicating canonical relabelings therefore
-# covers all classes.  Slow compared to specialist generators, but exact and
-# comfortably fast below the caps.
+# every attachment point) and deduplicating canonical forms therefore
+# covers all classes; ``_graph_classes`` skips the extensions that the
+# complement and maximum-degree arguments there make redundant.  Slow
+# compared to specialist generators, but exact and comfortably fast below
+# the caps.
 
 
-def _direct_groups(g: Graph) -> tuple[int, ...]:
-    # Bit groups of the graph as labeled; on canonical relabelings this
-    # equals the canonical form minus the leading vertex count.
-    bits = g.adjacency_bits
-    out = []
-    for k in range(1, g.n):
-        row = bits[k]
-        w = 0
-        for i in range(k):
-            w = (w << 1) | ((row >> i) & 1)
-        out.append(w)
-    return tuple(out)
+def _from_form(n: int, form: tuple[int, ...]) -> Graph:
+    # The graph whose slot k is adjacent to slot i < k iff bit k-1-i of
+    # form[k] is set: the canonical relabeling that produced ``form``.
+    edges = tuple((i, k) for k in range(1, n) for i in range(k) if form[k] >> (k - 1 - i) & 1)
+    return Graph(n, edges)
+
+
+def _forms(n: int, candidates) -> set[tuple[int, ...]]:
+    # Canonical forms of adjacency row masks on n vertices.
+    return {_canonical_search(n, bits)[1] for bits in candidates}
+
+
+def _in_form_order(n: int, forms) -> tuple[Graph, ...]:
+    # One Graph per class, in canonical-form order.
+    return tuple(_from_form(n, form) for form in sorted(forms))
 
 
 @lru_cache(maxsize=None)
 def _graph_classes(n: int) -> tuple[Graph, ...]:
-    if n == 0:
-        return (Graph(0),)
-    if n == 1:
-        return (Graph(1),)
-    seen: dict[Graph, None] = {}
-    for g in _graph_classes(n - 1):
-        base_edges = g.edges
-        for mask in range(1 << (n - 1)):
-            extra = tuple((i, n - 1) for i in range(n - 1) if (mask >> i) & 1)
-            h = canonical_relabel(Graph(n, base_edges + extra))
-            seen[h] = None
-    return tuple(sorted(seen, key=_direct_groups))
+    if n <= 1:
+        return (Graph(n),)
+    top = 1 << (n - 1)
+    pairs = n * (n - 1) // 2
+
+    # A class with e edges has a complement with pairs - e, so only the
+    # sparse classes (2e <= pairs) are built by extension, and the dense
+    # ones are the complements of those with 2e < pairs.  Every class
+    # arises by adding a vertex of maximum degree, so a candidate whose
+    # new vertex is outdegreed by another vertex is skipped.
+    def sparse():
+        for g in _graph_classes(n - 1):
+            rows = g.adjacency_bits
+            degrees = [r.bit_count() for r in rows]
+            room = pairs // 2 - g.edge_count
+            for mask in range(top):
+                k = mask.bit_count()
+                if k <= room and all(d + (mask >> i & 1) <= k for i, d in enumerate(degrees)):
+                    yield tuple(r | top if mask >> i & 1 else r for i, r in enumerate(rows)) + (mask,)
+
+    def complements(forms):
+        full = (1 << n) - 1
+        for form in forms:
+            if 2 * sum(w.bit_count() for w in form) < pairs:
+                rows = _from_form(n, form).adjacency_bits
+                yield tuple(full ^ r ^ (1 << v) for v, r in enumerate(rows))
+
+    forms = _forms(n, sparse())
+    forms |= _forms(n, complements(forms))
+    return _in_form_order(n, forms)
 
 
 @lru_cache(maxsize=None)
 def _tree_classes(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1),)
-    seen: dict[Graph, None] = {}
-    for t in _tree_classes(n - 1):
-        for v in range(t.n):
-            h = canonical_relabel(Graph(n, t.edges + ((v, n - 1),)))
-            seen[h] = None
-    return tuple(sorted(seen, key=_direct_groups))
+    top = 1 << (n - 1)
+
+    def extended():
+        for t in _tree_classes(n - 1):
+            rows = t.adjacency_bits
+            for v in range(t.n):
+                yield rows[:v] + (rows[v] | top,) + rows[v + 1 :] + (1 << v,)
+
+    return _in_form_order(n, _forms(n, extended()))
 
 
 def enumerate_graphs(n: int) -> list[Graph]:

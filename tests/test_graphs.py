@@ -278,6 +278,24 @@ class TestEnumeration:
         for g in ours:
             assert sum(1 for r in brute if _brute_isomorphic(g, r)) == 1
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_classes_are_relabelings_of_every_labeled_graph(self, n):
+        # Every labeled graph's canonical relabeling, in canonical-form
+        # order: no class lost to the complement or degree shortcuts.
+        pairs = list(combinations(range(n), 2))
+        reps = {
+            canonical_relabel(Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1)))
+            for mask in range(1 << len(pairs))
+        }
+        assert enumerate_graphs(n) == sorted(reps, key=canonical_form)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_classes_closed_under_complement(self, n):
+        ours = enumerate_graphs(n)
+        pairs = set(combinations(range(n), 2))
+        complements = {canonical_form(Graph(n, tuple(sorted(pairs - set(g.edges))))) for g in ours}
+        assert complements == {canonical_form(g) for g in ours}
+
     @pytest.mark.parametrize("n", [4, 5])
     def test_trees_cover_prufer_space(self, n):
         ours = enumerate_trees(n)
