@@ -48,9 +48,9 @@ from .search import (
     SearchBudget,
     SearchReport,
     explore_cut_conjecture,
+    lemma_table,
     search_blowups,
-    verify_lemma_clique,
-    verify_lemma_independent,
+    verify_lemma,
     verify_tree_theorem,
 )
 
@@ -81,6 +81,7 @@ __all__ = [
     "is_connected",
     "is_isomorphic",
     "is_two_connected",
+    "lemma_table",
     "p2_clique_spec",
     "p3_independent_spec",
     "p4_infeasibility_check",
@@ -92,7 +93,6 @@ __all__ = [
     "spec_from_json",
     "spec_to_json",
     "star_spec",
-    "verify_lemma_clique",
-    "verify_lemma_independent",
+    "verify_lemma",
     "verify_tree_theorem",
 ]

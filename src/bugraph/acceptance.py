@@ -60,8 +60,7 @@ from .search import (
     SearchReport,
     explore_cut_conjecture,
     search_blowups,
-    verify_lemma_clique,
-    verify_lemma_independent,
+    verify_lemma,
     verify_tree_theorem,
 )
 
@@ -255,10 +254,10 @@ def _c8_lemmas(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
     grid = list(product((1, 2, 3), repeat=3))
     for m in range(1, 5):
         for a, c, d in grid:
-            if not verify_lemma_independent(m, a, c, d):
+            if not verify_lemma("second", m, (a, c, d)):
                 return False, f"independent-part lemma fails at m={m}, (a,c,d)=({a},{c},{d})"
         for b, c, d in grid:
-            if not verify_lemma_clique(m, b, c, d):
+            if not verify_lemma("first", m, (b, c, d)):
                 return False, f"clique-part lemma fails at m={m}, (b,c,d)=({b},{c},{d})"
     return True, "both extremal-part lemmas hold for m <= 4 over the full 27-point grids"
 
@@ -316,11 +315,11 @@ def _c12_cut_conjecture(reg: _Registry, level: str, jobs: int) -> tuple[bool, st
     budget = SearchBudget(part_family=FAMILY_IK, max_part_size=4)
     reports = explore_cut_conjecture(5, budget, jobs=jobs)
     hits = []
-    for cv in reports:
-        _record_search(reg, f"cut-vertex base {serialize_graph6(cv.graph)}", cv.search)
-        hits.extend(cv.search.found)
-        if not cv.search.exhausted:
-            return False, f"search on {serialize_graph6(cv.graph)} not exhausted"
+    for report in reports:
+        _record_search(reg, f"cut-vertex base {serialize_graph6(report.base)}", report)
+        hits.extend(report.found)
+        if not report.exhausted:
+            return False, f"search on {serialize_graph6(report.base)} not exhausted"
     if hits:
         # a uniform blow-up of a cut-vertex base would be a counterexample
         # worth reporting loudly, not a defect in this library

@@ -469,11 +469,17 @@ def _part_to_json(p: PartDescriptor) -> dict:
 
 
 def _part_from_json(obj: dict) -> PartDescriptor:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a part must be a JSON object, not {obj!r}")
     kind = obj.get("kind")
     if kind == PART_EXPLICIT:
         return PartDescriptor.explicit(parse_graph6(obj["graph6"]))
     if kind in (PART_INDEPENDENT, PART_CLIQUE):
-        return PartDescriptor(kind, int(obj["size"]))
+        size = obj["size"]
+        # bool is a subclass of int, and true must not read as 1
+        if not isinstance(size, int) or isinstance(size, bool):
+            raise ValueError(f"part size must be a JSON integer, not {size!r}")
+        return PartDescriptor(kind, size)
     raise ValueError(f"unknown part kind {kind!r}")
 
 

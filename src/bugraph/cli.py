@@ -1,14 +1,18 @@
 """Command-line front end.
 
 Every subcommand prints deterministic, scriptable output (JSON except
-where noted) so runs can be diffed and piped.  Exit codes separate the
-kinds of failure a pipeline may want to branch on:
+where noted) so runs can be diffed and piped.  ``census`` prints JSON
+lines, one object per base in enumeration order; ``lemma-table``
+prints a tab-separated table.  Exit codes separate the kinds of
+failure a pipeline may want to branch on:
 
     0   success
     2   usage error (bad flags, unknown subcommand)
-    3   malformed input (unparsable graph6, bad JSON, bad sizes)
+    3   malformed input (unparsable graph6, bad JSON, bad sizes) or an
+        out-of-range value
     10  the graph is not betweenness-uniform (``uniform`` only)
-    1   unexpected internal failure
+    1   a failed check (``verify-paper``, ``lemma-table``) or an
+        unexpected internal failure
 
 Graphs are given either inline as graph6 or as a path to a file whose
 first non-blank line is graph6; an existing file wins, ``--literal``
@@ -22,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import product
 
 from .betweenness import (
     betweenness_exact,
@@ -51,10 +56,15 @@ from .graphs import (
     serialize_graph6,
 )
 from .search import (
+    _LEMMA_WINNERS,
     SearchBudget,
+    _lemma_holds,
+    explore_cut_conjecture,
+    lemma_table,
     report_to_json,
     report_tsv_line,
     search_blowups,
+    verify_tree_theorem,
 )
 
 __all__ = ["main", "console_main"]
@@ -84,7 +94,7 @@ def _load_graph(arg: str, literal: bool) -> Graph:
         try:
             with open(arg, encoding="ascii") as fh:
                 raw = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _InputError(f"cannot read {arg}: {exc}") from exc
         lines = [ln.strip() for ln in raw.splitlines() if ln.strip()]
         if not lines:
@@ -200,15 +210,24 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _cmd_search(args) -> int:
-    base = _load_graph(args.graph, args.literal)
+def _budget(args) -> SearchBudget:
+    if args.jobs < 1:
+        raise _InputError("--jobs must be >= 1")
     try:
-        budget = SearchBudget(
+        return SearchBudget(
             part_family=args.family,
             max_part_size=args.max_size,
             max_total_vertices=args.max_total,
             time_limit=args.time_limit,
         )
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
+
+
+def _cmd_search(args) -> int:
+    base = _load_graph(args.graph, args.literal)
+    budget = _budget(args)
+    try:
         report = search_blowups(base, budget, jobs=args.jobs, prune=not args.no_prune)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
@@ -216,6 +235,75 @@ def _cmd_search(args) -> int:
         print(report_tsv_line(report))
     else:
         _emit(report_to_json(report))
+    return EXIT_OK
+
+
+def _tree_record(r) -> dict:
+    rec = {
+        "base": serialize_graph6(r.tree),
+        "n": r.tree.n,
+        "diameter": r.diameter,
+        "status": r.status,
+    }
+    if r.status == "searched":
+        rec["search"] = report_to_json(r.search)
+    elif r.status == "construction":
+        rec["spec"] = spec_to_json(r.construction)
+        rec["common"] = format_rational(r.construction_value)
+    return rec
+
+
+def _cmd_census(args) -> int:
+    budget = _budget(args)
+    try:
+        if args.kind == "trees":
+            trees = verify_tree_theorem(args.n_max, budget, jobs=args.jobs)
+            records = [_tree_record(r) for r in trees]
+            searches = [r.search for r in trees if r.status == "searched"]
+        else:
+            searches = explore_cut_conjecture(args.n_max, budget, jobs=args.jobs)
+            records = [
+                {"base": serialize_graph6(r.base), "search": report_to_json(r)} for r in searches
+            ]
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
+    for rec in records:
+        print(json.dumps(rec))
+    hits = [s.label() for r in searches for s in r.found]
+    if hits:
+        print(f"COUNTEREXAMPLES: {', '.join(hits)}", file=sys.stderr)
+    else:
+        complete = all(r.exhausted for r in searches)
+        note = "every search exhausted" if complete else "some searches hit the time limit"
+        print(f"# no uniform blow-ups over {len(searches)} bases; {note}", file=sys.stderr)
+    return EXIT_OK
+
+
+def _cmd_lemma_table(args) -> int:
+    if args.grid_max < 1:
+        raise _InputError("--grid-max must be >= 1")
+    try:
+        tables = [
+            (ctx, lemma_table(args.slot, args.m, ctx))
+            for ctx in product(range(1, args.grid_max + 1), repeat=3)
+        ]
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
+    expected = _LEMMA_WINNERS[args.slot]
+    print("context\tclass\tedges\tratio\tmax")
+    violations = 0
+    for ctx, rows in tables:
+        best = max(v for _, v in rows)
+        for h, v in rows:
+            mark = "*" if v == best else ""
+            print(f"{ctx}\t{serialize_graph6(h)}\t{h.edge_count}\t{format_rational(v)}\t{mark}")
+        if not _lemma_holds(args.slot, args.m, rows):
+            violations += 1
+            print(f"violation at {ctx}: {expected} class not maximal", file=sys.stderr)
+    if violations:
+        print(f"{violations} grid points violate the expectation", file=sys.stderr)
+        return EXIT_INTERNAL
+    print(f"# {expected} class maximal at every grid point", file=sys.stderr)
     return EXIT_OK
 
 
@@ -234,6 +322,14 @@ def _cmd_enum(args) -> int:
     for g in items:
         print(serialize_graph6(g))
     return EXIT_OK
+
+
+def _add_budget_args(sub) -> None:
+    sub.add_argument("--family", choices=("ik", "all"), default="ik")
+    sub.add_argument("--max-size", type=int, default=4, help="largest part size")
+    sub.add_argument("--max-total", type=int, default=None, help="cap on blow-up vertices")
+    sub.add_argument("--time-limit", type=float, default=None, help="seconds before a partial report")
+    sub.add_argument("--jobs", type=int, default=_default_jobs())
 
 
 def _add_graph_arg(sub) -> None:
@@ -279,14 +375,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive in-budget scan for uniform blow-ups")
     _add_graph_arg(p)
-    p.add_argument("--family", choices=("ik", "all"), default="ik")
-    p.add_argument("--max-size", type=int, default=4, help="largest part size")
-    p.add_argument("--max-total", type=int, default=None, help="cap on blow-up vertices")
-    p.add_argument("--time-limit", type=float, default=None, help="seconds before a partial report")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    _add_budget_args(p)
     p.add_argument("--no-prune", action="store_true", help="disable cut-vertex pruning")
     p.add_argument("--tsv", action="store_true", help="one-line summary instead of JSON")
     p.set_defaults(func=_cmd_search)
+
+    p = sub.add_parser(
+        "census", help="search every small tree or cut-vertex base, one JSON line each"
+    )
+    p.add_argument("kind", choices=("trees", "cut-vertex"))
+    p.add_argument(
+        "--n-max", required=True, type=int,
+        help="largest base size (trees <= 7, cut-vertex <= 6)",
+    )
+    _add_budget_args(p)
+    p.set_defaults(func=_cmd_census)
+
+    p = sub.add_parser(
+        "lemma-table", help="tabulate the extremal-part ratio over a grid of contexts"
+    )
+    p.add_argument(
+        "--slot", choices=("first", "second"), default="second",
+        help="which path4 part the candidate class occupies",
+    )
+    p.add_argument("--m", type=int, default=3, help="candidate part size (<= 5)")
+    p.add_argument("--grid-max", type=int, default=2, help="context sizes range over 1..this")
+    p.set_defaults(func=_cmd_lemma_table)
 
     p = sub.add_parser("verify-paper", help="run the acceptance checks, print a PASS/FAIL table")
     p.add_argument("--level", choices=("quick", "full"), default="quick")

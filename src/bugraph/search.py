@@ -53,19 +53,16 @@ from .graphs import (
 __all__ = [
     "FAMILY_ALL",
     "FAMILY_IK",
-    "CutVertexReport",
     "SearchBudget",
     "SearchReport",
     "TreeBlowupReport",
     "candidate_parts",
     "explore_cut_conjecture",
-    "lemma_clique_table",
-    "lemma_independent_table",
+    "lemma_table",
     "report_to_json",
     "report_tsv_line",
     "search_blowups",
-    "verify_lemma_clique",
-    "verify_lemma_independent",
+    "verify_lemma",
     "verify_tree_theorem",
 ]
 
@@ -257,68 +254,49 @@ def search_blowups(
 # lemma verification: which middle/end part maximizes the x/y ratio
 
 
-def _check_lemma_args(m: int, fixed) -> None:
+# the part class each slot's lemma says maximizes the ratio
+_LEMMA_WINNERS = {"first": "complete", "second": "edgeless"}
+
+
+def lemma_table(
+    slot: str, m: int, context: tuple[int, int, int]
+) -> list[tuple[Graph, Fraction]]:
+    """Ratio value for every class H on m vertices placed in ``slot`` of
+    path4, extremal-pair convention.
+
+    Slot "second" is path4[K_a, H, I_c, K_d] with context (a, c, d);
+    slot "first" is path4[H, I_b, I_c, K_d] with context (b, c, d).
+    """
+    if slot not in _LEMMA_WINNERS:
+        raise ValueError(f"unknown lemma slot {slot!r}")
     if not (1 <= m <= _LEMMA_SIZE_CAP):
         raise ValueError(f"lemma verification supports 1 <= m <= {_LEMMA_SIZE_CAP}")
-    if any(s < 1 for s in fixed):
-        raise ValueError("fixed part sizes must be positive")
-
-
-def lemma_independent_table(m: int, a: int, c: int, d: int) -> list[tuple[Graph, Fraction]]:
-    """Ratio value for every class H on m vertices placed second in
-    path4[K_a, H, I_c, K_d], extremal-pair convention."""
-    _check_lemma_args(m, (a, c, d))
+    x, c, d = context
+    if min(context) < 1:
+        raise ValueError("context part sizes must be positive")
+    tail = (PartDescriptor.independent(c), PartDescriptor.clique(d))
     base = generate("path", 4)
     rows = []
     for h in enumerate_graphs(m):
-        spec = BlowupSpec(
-            base=base,
-            parts=(
-                PartDescriptor.clique(a),
-                PartDescriptor.for_graph(h),
-                PartDescriptor.independent(c),
-                PartDescriptor.clique(d),
-            ),
-        )
-        rows.append((h, delta_extremal(spec).value))
+        part = PartDescriptor.for_graph(h)
+        if slot == "first":
+            head = (part, PartDescriptor.independent(x))
+        else:
+            head = (PartDescriptor.clique(x), part)
+        rows.append((h, delta_extremal(BlowupSpec(base=base, parts=head + tail)).value))
     return rows
 
 
-def lemma_clique_table(m: int, b: int, c: int, d: int) -> list[tuple[Graph, Fraction]]:
-    """Ratio value for every class H on m vertices placed first in
-    path4[H, I_b, I_c, K_d]."""
-    _check_lemma_args(m, (b, c, d))
-    base = generate("path", 4)
-    rows = []
-    for h in enumerate_graphs(m):
-        spec = BlowupSpec(
-            base=base,
-            parts=(
-                PartDescriptor.for_graph(h),
-                PartDescriptor.independent(b),
-                PartDescriptor.independent(c),
-                PartDescriptor.clique(d),
-            ),
-        )
-        rows.append((h, delta_extremal(spec).value))
-    return rows
-
-
-def verify_lemma_independent(m: int, a: int, c: int, d: int) -> bool:
-    """True iff the edgeless class attains the exact maximum ratio."""
-    rows = lemma_independent_table(m, a, c, d)
+def _lemma_holds(slot: str, m: int, rows: list[tuple[Graph, Fraction]]) -> bool:
+    want = 0 if _LEMMA_WINNERS[slot] == "edgeless" else m * (m - 1) // 2
     best = max(v for _, v in rows)
-    empty_val = next(v for h, v in rows if h.edge_count == 0)
-    return empty_val == best
+    return any(v == best for h, v in rows if h.edge_count == want)
 
 
-def verify_lemma_clique(m: int, b: int, c: int, d: int) -> bool:
-    """True iff the complete class attains the exact maximum ratio."""
-    rows = lemma_clique_table(m, b, c, d)
-    best = max(v for _, v in rows)
-    full = m * (m - 1) // 2
-    complete_val = next(v for h, v in rows if h.edge_count == full)
-    return complete_val == best
+def verify_lemma(slot: str, m: int, context: tuple[int, int, int]) -> bool:
+    """True iff the class the slot's lemma names (edgeless second,
+    complete first) attains the exact maximum ratio."""
+    return _lemma_holds(slot, m, lemma_table(slot, m, context))
 
 
 # ---------------------------------------------------------------------------
@@ -382,30 +360,21 @@ def verify_tree_theorem(
     return out
 
 
-@dataclass
-class CutVertexReport:
-    """Search outcome for one connected base with a cut vertex and
-    diameter >= 3.  A non-empty ``found`` would be a counterexample to
-    the expectation that no such base has a uniform blow-up."""
-
-    graph: Graph
-    search: SearchReport
-
-
 def explore_cut_conjecture(
     n_max: int, budget: SearchBudget, *, jobs: int = 1
-) -> list[CutVertexReport]:
+) -> list[SearchReport]:
+    """Search every connected base with a cut vertex and diameter >= 3
+    on up to n_max vertices.  A non-empty ``found`` would be a
+    counterexample to the expectation that no such base has a uniform
+    blow-up."""
     if not (2 <= n_max <= _CUT_CONJECTURE_CAP):
         raise ValueError(f"cut-vertex sweep supports 2 <= n_max <= {_CUT_CONJECTURE_CAP}")
-    out: list[CutVertexReport] = []
-    for n in range(2, n_max + 1):
-        for g in enumerate_graphs(n):
-            if not is_connected(g) or not cut_vertices(g):
-                continue
-            if diameter(g) < 3:
-                continue
-            out.append(CutVertexReport(graph=g, search=search_blowups(g, budget, jobs=jobs)))
-    return out
+    return [
+        search_blowups(g, budget, jobs=jobs)
+        for n in range(2, n_max + 1)
+        for g in enumerate_graphs(n)
+        if is_connected(g) and cut_vertices(g) and diameter(g) >= 3
+    ]
 
 
 # ---------------------------------------------------------------------------

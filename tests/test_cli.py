@@ -18,6 +18,44 @@ from bugraph.graphs import generate, parse_graph6, serialize_graph6
 C4 = serialize_graph6(generate("cycle", 4))
 P4 = serialize_graph6(generate("path", 4))
 
+# `lemma-table --slot second --m 3 --grid-max 2`, rows as recorded from
+# the standalone lemma driver it replaced: context, class graph6, edge
+# count, exact ratio, max mark.
+LEMMA_TABLE_SECOND_3_2 = [
+    ("(1, 1, 1)", "B?", 0, "9/4", "*"),
+    ("(1, 1, 1)", "BG", 1, "3/2", ""),
+    ("(1, 1, 1)", "BW", 2, "1/2", ""),
+    ("(1, 1, 1)", "Bw", 3, "0", ""),
+    ("(1, 1, 2)", "B?", 0, "3/2", "*"),
+    ("(1, 1, 2)", "BG", 1, "1", ""),
+    ("(1, 1, 2)", "BW", 2, "1/3", ""),
+    ("(1, 1, 2)", "Bw", 3, "0", ""),
+    ("(1, 2, 1)", "B?", 0, "4/5", "*"),
+    ("(1, 2, 1)", "BG", 1, "8/15", ""),
+    ("(1, 2, 1)", "BW", 2, "1/5", ""),
+    ("(1, 2, 1)", "Bw", 3, "0", ""),
+    ("(1, 2, 2)", "B?", 0, "15/23", "*"),
+    ("(1, 2, 2)", "BG", 1, "10/23", ""),
+    ("(1, 2, 2)", "BW", 2, "15/92", ""),
+    ("(1, 2, 2)", "Bw", 3, "0", ""),
+    ("(2, 1, 1)", "B?", 0, "3/4", "*"),
+    ("(2, 1, 1)", "BG", 1, "1/2", ""),
+    ("(2, 1, 1)", "BW", 2, "3/16", ""),
+    ("(2, 1, 1)", "Bw", 3, "0", ""),
+    ("(2, 1, 2)", "B?", 0, "1/2", "*"),
+    ("(2, 1, 2)", "BG", 1, "1/3", ""),
+    ("(2, 1, 2)", "BW", 2, "1/8", ""),
+    ("(2, 1, 2)", "Bw", 3, "0", ""),
+    ("(2, 2, 1)", "B?", 0, "1/3", "*"),
+    ("(2, 2, 1)", "BG", 1, "2/9", ""),
+    ("(2, 2, 1)", "BW", 2, "4/45", ""),
+    ("(2, 2, 1)", "Bw", 3, "0", ""),
+    ("(2, 2, 2)", "B?", 0, "45/172", "*"),
+    ("(2, 2, 2)", "BG", 1, "15/86", ""),
+    ("(2, 2, 2)", "BW", 2, "3/43", ""),
+    ("(2, 2, 2)", "Bw", 3, "0", ""),
+]
+
 
 def run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -43,6 +81,13 @@ class TestBc:
         code, _, err = run(capsys, "bc", "-g", "!bad!")
         assert code == 3
         assert "graph6" in err
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "g.g6"
+        path.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, "bc", "-g", str(path))
+        assert code == 3
+        assert "cannot read" in err
 
     def test_literal_flag_beats_file(self, capsys, tmp_path, monkeypatch):
         trap = tmp_path / C4
@@ -116,6 +161,22 @@ class TestBlowupAndDecompose:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "blowup", "-s", "/nonexistent/path.json")
         assert code == 3
+
+    @pytest.mark.parametrize("size", [2.7, True, "2"])
+    def test_non_integer_size(self, capsys, tmp_path, size):
+        path = tmp_path / "sizes.json"
+        parts = [{"kind": "I", "size": 1}, {"kind": "I", "size": size}, {"kind": "I", "size": 1}]
+        path.write_text(json.dumps({"base": "Bg", "parts": parts}))
+        code, out, err = run(capsys, "blowup", "-s", str(path))
+        assert code == 3
+        assert out == "" and "part size" in err
+
+    def test_part_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "parts.json"
+        path.write_text(json.dumps({"base": "Bg", "parts": "abc"}))
+        code, _, err = run(capsys, "blowup", "-s", str(path))
+        assert code == 3
+        assert "internal error" not in err
 
 
 class TestConstruct:
@@ -191,6 +252,92 @@ class TestSearch:
 
         args = build_parser().parse_args(["search", "-g", P4])
         assert args.jobs == 1
+
+
+class TestCensus:
+    def test_jobs_do_not_change_output(self, capsys):
+        # the path4 base has 400 specs at --max-size 3, enough to use the pool
+        argv = ("census", "trees", "--n-max", "5", "--max-size", "3")
+        serial = run(capsys, *argv, "--jobs", "1")
+        parallel = run(capsys, *argv, "--jobs", "2")
+        assert serial == parallel
+        code, out, err = serial
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["n"] for r in records] == [1, 2, 3, 4, 4, 5, 5, 5]
+        by_status = {}
+        for r in records:
+            by_status.setdefault(r["status"], []).append(r)
+        # canonical graph6, as enumerated: CL is the 4-path
+        assert [r["base"] for r in by_status["searched"]] == ["CL", "DC[", "DKK"]
+        assert all(r["search"]["exhausted"] and not r["search"]["found"]
+                   for r in by_status["searched"])
+        star = by_status["construction"][-1]
+        assert star["spec"]["parts"][-1] == {"kind": "I", "size": 4}
+        assert star["common"] == "3/2"
+        assert err == "# no uniform blow-ups over 3 bases; every search exhausted\n"
+
+    def test_cut_vertex(self, capsys):
+        code, out, _ = run(capsys, "census", "cut-vertex", "--n-max", "4", "--max-size", "3")
+        assert code == 0
+        (record,) = [json.loads(line) for line in out.splitlines()]
+        assert record["base"] == "CL"
+        assert record["search"]["specs_examined"] == 400
+        assert record["search"]["found"] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cut-vertex", "--n-max", "7"),
+            ("trees", "--n-max", "8"),
+            ("trees", "--n-max", "4", "--max-size", "0"),
+            ("trees", "--n-max", "4", "--family", "all", "--max-size", "6"),
+            ("trees", "--n-max", "4", "--time-limit", "-1"),
+            ("trees", "--n-max", "4", "--jobs", "0"),
+        ],
+    )
+    def test_out_of_range_is_bad_input(self, capsys, argv):
+        code, out, err = run(capsys, "census", *argv)
+        assert code == 3
+        assert out == "" and err.startswith("error: ")
+
+    def test_n_max_required(self, capsys):
+        assert run(capsys, "census", "trees")[0] == 2
+
+
+class TestLemmaTable:
+    def test_matches_recorded_table(self, capsys):
+        code, out, err = run(capsys, "lemma-table", "--slot", "second", "--m", "3", "--grid-max", "2")
+        assert code == 0
+        header = "context\tclass\tedges\tratio\tmax\n"
+        rows = "".join("\t".join(map(str, row)) + "\n" for row in LEMMA_TABLE_SECOND_3_2)
+        assert out == header + rows
+        assert err == "# edgeless class maximal at every grid point\n"
+
+    def test_first_slot(self, capsys):
+        code, out, err = run(capsys, "lemma-table", "--slot", "first", "--m", "2", "--grid-max", "2")
+        assert code == 0
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        # with b = 1 every class has ratio 0, so every class is marked
+        assert all(r[3] == "0" and r[4] == "*" for r in rows[:8])
+        # recorded from the standalone lemma driver for b = 2
+        assert [(r[0], r[1], r[3], r[4]) for r in rows[8:]] == [
+            ("(2, 1, 1)", "A?", "2/15", ""),
+            ("(2, 1, 1)", "A_", "1/6", "*"),
+            ("(2, 1, 2)", "A?", "2/21", ""),
+            ("(2, 1, 2)", "A_", "1/9", "*"),
+            ("(2, 2, 1)", "A?", "3/46", ""),
+            ("(2, 2, 1)", "A_", "3/40", "*"),
+            ("(2, 2, 2)", "A?", "1/19", ""),
+            ("(2, 2, 2)", "A_", "1/17", "*"),
+        ]
+        assert err == "# complete class maximal at every grid point\n"
+
+    @pytest.mark.parametrize("argv", [("--m", "6"), ("--m", "0"), ("--grid-max", "0")])
+    def test_out_of_range_is_bad_input(self, capsys, argv):
+        code, out, _ = run(capsys, "lemma-table", *argv)
+        assert code == 3
+        assert out == ""
 
 
 class TestEnum:

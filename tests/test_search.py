@@ -22,12 +22,11 @@ from bugraph.search import (
     _screen_uniform,
     candidate_parts,
     explore_cut_conjecture,
-    lemma_clique_table,
+    lemma_table,
     report_to_json,
     report_tsv_line,
     search_blowups,
-    verify_lemma_clique,
-    verify_lemma_independent,
+    verify_lemma,
     verify_tree_theorem,
 )
 
@@ -166,22 +165,29 @@ class TestSearch:
 class TestLemmas:
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_independent_maximizer(self, m):
-        assert verify_lemma_independent(m, 1, 1, 1)
-        assert verify_lemma_independent(m, 2, 1, 2)
+        assert verify_lemma("second", m, (1, 1, 1))
+        assert verify_lemma("second", m, (2, 1, 2))
 
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_clique_maximizer(self, m):
-        assert verify_lemma_clique(m, 1, 1, 1)
-        assert verify_lemma_clique(m, 2, 2, 1)
+        assert verify_lemma("first", m, (1, 1, 1))
+        assert verify_lemma("first", m, (2, 2, 1))
 
     def test_clique_table_is_monotone_like(self):
-        rows = lemma_clique_table(3, 1, 1, 1)
+        rows = lemma_table("first", 3, (1, 1, 1))
         by_edges = {h.edge_count: v for h, v in rows}
         assert by_edges[3] == max(v for _, v in rows)
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            verify_lemma_independent(6, 1, 1, 1)
+            verify_lemma("second", 6, (1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "slot, context", [("middle", (1, 1, 1)), ("first", (1, 1)), ("second", (1, 0, 1))]
+    )
+    def test_bad_slot_or_context(self, slot, context):
+        with pytest.raises(ValueError):
+            lemma_table(slot, 3, context)
 
 
 class TestSweeps:
@@ -203,8 +209,8 @@ class TestSweeps:
     def test_cut_conjecture_smallest(self):
         reports = explore_cut_conjecture(4, SearchBudget(part_family="ik", max_part_size=3))
         assert len(reports) == 1  # only the 4-path qualifies
-        assert is_isomorphic(reports[0].graph, generate("path", 4))
-        assert reports[0].search.found == []
+        assert is_isomorphic(reports[0].base, generate("path", 4))
+        assert reports[0].found == []
 
 
 class TestReportSerialization:
