@@ -14,17 +14,18 @@ of a blown-up vertex split cleanly into
 ``shares_by_part`` is the one production route: it evaluates all
 three shares in closed form from the base graph and the parts alone,
 without building the blow-up.  ``betweenness_by_part`` sums them for
-the search screen, and ``delta_xy``/``delta_extremal`` read them for
-the leaf-part ratio.  The built graph (``blow_up``) serves only as the
-reference: ``decompose_betweenness`` computes the same split from
-first principles by classifying every pair contribution on it, so the
-two routes can be compared exactly.
+the search screen, ``delta_xy``/``delta_extremal`` read them for the
+leaf-part ratio, and ``bugraph decompose`` prints one part's entry.
+``decompose_betweenness`` is only the reference: it computes the same
+split from first principles by classifying every pair contribution on
+the built graph (``blow_up``), so the two routes can be compared
+exactly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
@@ -41,12 +42,10 @@ __all__ = [
     "PartDescriptor",
     "betweenness_by_part",
     "blow_up",
-    "closed_form_neighbor_contribution",
     "decompose_betweenness",
     "decomposition_json",
     "delta_extremal",
     "delta_xy",
-    "neighbor_mass",
     "shares_by_part",
     "spec_from_json",
     "spec_to_json",
@@ -154,23 +153,10 @@ class BlownGraph:
     part_of: tuple[int, ...]
     part_vertices: tuple[tuple[int, ...], ...]
 
-    @property
-    def part_count(self) -> int:
-        return len(self.part_vertices)
-
     @cached_property
     def path_data(self) -> tuple[list[list[int]], list[list[int]]]:
         """``shortest_path_data`` of the blown-up graph, computed once."""
         return shortest_path_data(self.graph)
-
-    def base_adjacent(self, i: int, j: int) -> bool:
-        # Cross-part edges are all-or-nothing, so one probe decides.
-        if i == j:
-            return False
-        return self.graph.has_edge(self.part_vertices[i][0], self.part_vertices[j][0])
-
-    def base_neighbor_parts(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(self.part_count) if self.base_adjacent(i, j))
 
 
 def blow_up(spec: BlowupSpec) -> BlownGraph:
@@ -201,13 +187,6 @@ def blow_up(spec: BlowupSpec) -> BlownGraph:
     )
 
 
-def neighbor_mass(spec: BlowupSpec, i: int) -> int:
-    """Total size of the parts sitting on base neighbors of vertex i."""
-    if not (0 <= i < spec.base.n):
-        raise ValueError(f"base vertex {i} out of range")
-    return sum(spec.parts[j].size for j in spec.base.adjacency[i])
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Betweenness of one blown-up vertex, split by pair location."""
@@ -215,7 +194,7 @@ class Decomposition:
     vertex: int
     global_part: Fraction
     own_local: Fraction
-    neighbor_locals: dict[int, Fraction] = field(compare=False)
+    neighbor_locals: dict[int, Fraction]
 
     def total(self) -> Fraction:
         return self.global_part + self.own_local + sum(
@@ -227,8 +206,10 @@ def decompose_betweenness(bg: BlownGraph, v: int) -> Decomposition:
     """Split B(v) into global / own-part / per-neighbor-part shares.
 
     Computed from scratch by classifying every pair contribution
-    sigma_{x,y}(v) / sigma_{x,y}; no closed form is consulted.  Keys of
-    ``neighbor_locals`` are exactly the base neighbors of v's part; a
+    sigma_{x,y}(v) / sigma_{x,y}; neither the spec nor a closed form is
+    consulted.  Keys of ``neighbor_locals`` are the parts of v's
+    neighbors other than its own, in ascending order: v is joined to
+    every vertex of each base-neighbor part and to no other part.  A
     pair inside any other part can never route through v, which the
     classification loop enforces.
     """
@@ -236,11 +217,13 @@ def decompose_betweenness(bg: BlownGraph, v: int) -> Decomposition:
     n = g.n
     if not (0 <= v < n):
         raise ValueError(f"vertex {v} out of range")
-    pv = bg.part_of[v]
+    part_of = bg.part_of
+    pv = part_of[v]
     dist, sigma = bg.path_data
     glob = Fraction(0)
     own = Fraction(0)
-    nbr: dict[int, Fraction] = {j: Fraction(0) for j in bg.base_neighbor_parts(pv)}
+    nbr_parts = {part_of[w] for w in g.adjacency[v]} - {pv}
+    nbr: dict[int, Fraction] = {j: Fraction(0) for j in sorted(nbr_parts)}
     dv = dist[v]
     sv = sigma[v]
     for x in range(n):
@@ -258,8 +241,8 @@ def decompose_betweenness(bg: BlownGraph, v: int) -> Decomposition:
             if count == 0:
                 continue
             c = Fraction(count, sx[y])
-            px = bg.part_of[x]
-            py = bg.part_of[y]
+            px = part_of[x]
+            py = part_of[y]
             if px != py:
                 glob += c
             elif px == pv:
@@ -282,34 +265,6 @@ def _common_neighbors(h: Graph) -> Iterator[int]:
             yield bits[u] & bits[w]
 
 
-def closed_form_neighbor_contribution(spec: BlowupSpec, i: int, j: int) -> Fraction:
-    """Share of B(x) contributed by pairs inside neighbor part j.
-
-    For any x in part i with ij a base edge, a non-adjacent pair u, w
-    inside part j sits at distance two.  Its geodesics run through the
-    c(u, w) common neighbors of u and w inside H_j and through every
-    vertex of the parts on base neighbors of j, x among them, so the
-    value
-
-        sum over non-adjacent pairs of 1 / (c(u, w) + neighbor_mass(j))
-
-    does not depend on which x in part i is asked about.  It is read off
-    the part alone: C(m, 2) / mass for I_m, zero for a clique.
-    """
-    if not (0 <= i < spec.base.n and 0 <= j < spec.base.n):
-        raise ValueError("part index out of range")
-    if not spec.base.has_edge(i, j):
-        raise ValueError(f"parts {i} and {j} are not adjacent in the base")
-    part = spec.parts[j]
-    mass = neighbor_mass(spec, j)
-    if part.kind == PART_INDEPENDENT:
-        return Fraction(part.size * (part.size - 1) // 2, mass)
-    if part.kind == PART_CLIQUE:
-        return Fraction(0)
-    pairs = _common_neighbors(part.graph)
-    return sum((Fraction(1, c.bit_count() + mass) for c in pairs), Fraction(0))
-
-
 def shares_by_part(
     spec: BlowupSpec,
 ) -> Iterator[tuple[Fraction, dict[int, Fraction], tuple[Fraction, ...] | None]]:
@@ -323,16 +278,22 @@ def shares_by_part(
       pairs i < j, both other than k, with k on an i,j-geodesic.  s_i
       is the size of part i, and W(i, j) counts the base i,j-geodesics,
       each weighted by the product of the sizes of its interior parts;
-    * neighbor: ``closed_form_neighbor_contribution`` for each base
-      neighbor j of k, keyed by j;
+    * neighbor: for each base neighbor j of k, keyed by j, the share
+      of the pairs inside part j.  A non-adjacent pair x, y of H_j sits
+      at distance two, and its geodesics run through the c(x, y) common
+      neighbors of x and y inside H_j and through every vertex of the
+      parts on base neighbors of j, whose total size is mass(j).  So
+      every vertex of part k gets 1 / (c(x, y) + mass(j)) summed over
+      the non-adjacent pairs: C(m, 2) / mass(j) for I_m, zero for K_m;
     * own: for an explicit part, the share of each of its vertices v in
-      ``blow_up`` order, 1 / (c(x, y) + neighbor_mass(k)) summed over
+      ``blow_up`` order, 1 / (c(x, y) + mass(k)) summed over the
       non-adjacent pairs x, y of H_k that both neighbor v.  It is
       ``None`` for I and K parts, whose own share is zero.
 
     The work depends on the base and on explicit part graphs, never on
     the sizes of I and K parts.  Parts are evaluated lazily, so a caller
-    may stop at the first one it needs.
+    may stop at the first one it needs; the pairs inside each part are
+    summed once, on first use, for its neighbor and own shares alike.
     """
     base = spec.base
     n = base.n
@@ -349,6 +310,30 @@ def shares_by_part(
                 wi[u] * (sizes[u] if u != i else 1) for u in adj[v] if di[u] == di[v] - 1
             )
         w.append(wi)
+    # local[j]: the neighbor share of part j's pairs and, for an
+    # explicit part, its own-share tuple; filled on first use
+    local: list = [None] * n
+
+    def local_shares(j: int):
+        if local[j] is None:
+            part = spec.parts[j]
+            mass = sum(sizes[i] for i in adj[j])
+            if part.kind == PART_INDEPENDENT:
+                local[j] = Fraction(part.size * (part.size - 1) // 2, mass), None
+            elif part.kind == PART_CLIQUE:
+                local[j] = Fraction(0), None
+            else:
+                total = Fraction(0)
+                own = [Fraction(0)] * part.size
+                for common in _common_neighbors(part.graph):
+                    share = Fraction(1, common.bit_count() + mass)
+                    total += share
+                    for v in range(part.size):
+                        if common >> v & 1:
+                            own[v] += share
+                local[j] = total, tuple(own)
+        return local[j]
+
     for k, part in enumerate(spec.parts):
         dk = dist[k]
         glob = Fraction(0)
@@ -357,18 +342,8 @@ def shares_by_part(
             for j in range(i + 1, n):
                 if k != i and k != j and di[k] + dk[j] == di[j]:
                     glob += Fraction(sizes[i] * sizes[j] * w[i][k] * w[k][j], w[i][j])
-        nbr = {j: closed_form_neighbor_contribution(spec, k, j) for j in adj[k]}
-        own = None
-        if part.kind == PART_EXPLICIT:
-            own = [Fraction(0)] * part.size
-            mass = neighbor_mass(spec, k)
-            for common in _common_neighbors(part.graph):
-                share = Fraction(1, common.bit_count() + mass)
-                for v in range(part.size):
-                    if common >> v & 1:
-                        own[v] += share
-            own = tuple(own)
-        yield glob, nbr, own
+        nbr = {j: local_shares(j)[0] for j in adj[k]}
+        yield glob, nbr, local_shares(k)[1] if part.kind == PART_EXPLICIT else None
 
 
 def betweenness_by_part(spec: BlowupSpec) -> Iterator[tuple[Fraction, ...]]:
@@ -468,12 +443,18 @@ def _part_to_json(p: PartDescriptor) -> dict:
     return {"kind": p.kind, "size": p.size}
 
 
+def _graph_from_json(text) -> Graph:
+    if not isinstance(text, str):
+        raise ValueError(f"graph6 must be a JSON string, not {text!r}")
+    return parse_graph6(text)
+
+
 def _part_from_json(obj: dict) -> PartDescriptor:
     if not isinstance(obj, dict):
         raise ValueError(f"a part must be a JSON object, not {obj!r}")
     kind = obj.get("kind")
     if kind == PART_EXPLICIT:
-        return PartDescriptor.explicit(parse_graph6(obj["graph6"]))
+        return PartDescriptor.explicit(_graph_from_json(obj["graph6"]))
     if kind in (PART_INDEPENDENT, PART_CLIQUE):
         size = obj["size"]
         # bool is a subclass of int, and true must not read as 1
@@ -493,7 +474,7 @@ def spec_to_json(spec: BlowupSpec) -> dict:
 def spec_from_json(obj: dict) -> BlowupSpec:
     if not isinstance(obj, dict) or "base" not in obj or "parts" not in obj:
         raise ValueError("blow-up spec JSON needs 'base' and 'parts'")
-    base = parse_graph6(obj["base"])
+    base = _graph_from_json(obj["base"])
     parts = tuple(_part_from_json(p) for p in obj["parts"])
     return BlowupSpec(base=base, parts=parts)
 

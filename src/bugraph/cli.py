@@ -26,7 +26,8 @@ import argparse
 import json
 import os
 import sys
-from itertools import product
+from fractions import Fraction
+from itertools import islice, product
 
 from .betweenness import (
     betweenness_exact,
@@ -35,9 +36,11 @@ from .betweenness import (
     profile_json,
 )
 from .blowup import (
+    Decomposition,
+    _locate,
     blow_up,
-    decompose_betweenness,
     decomposition_json,
+    shares_by_part,
     spec_from_json,
     spec_to_json,
 )
@@ -110,7 +113,7 @@ def _load_spec(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: invalid JSON: {exc}") from exc
@@ -158,13 +161,15 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    # Read off the closed-form shares: the blow-up is never built.
     spec = _load_spec(args.spec)
-    bg = blow_up(spec)
-    if not (0 <= args.vertex < bg.graph.n):
-        raise _InputError(
-            f"vertex {args.vertex} out of range for a {bg.graph.n}-vertex blow-up"
-        )
-    _emit(decomposition_json(decompose_betweenness(bg, args.vertex)))
+    n = spec.total_vertices
+    if not (0 <= args.vertex < n):
+        raise _InputError(f"vertex {args.vertex} out of range for a {n}-vertex blow-up")
+    k, i = _locate(spec, args.vertex)
+    glob, nbr, own = next(islice(shares_by_part(spec), k, None))
+    own_local = own[i] if own else Fraction(0)
+    _emit(decomposition_json(Decomposition(args.vertex, glob, own_local, nbr)))
     return EXIT_OK
 
 
@@ -210,9 +215,13 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _budget(args) -> SearchBudget:
+def _check_jobs(args) -> None:
     if args.jobs < 1:
         raise _InputError("--jobs must be >= 1")
+
+
+def _budget(args) -> SearchBudget:
+    _check_jobs(args)
     try:
         return SearchBudget(
             part_family=args.family,
@@ -228,7 +237,7 @@ def _cmd_search(args) -> int:
     base = _load_graph(args.graph, args.literal)
     budget = _budget(args)
     try:
-        report = search_blowups(base, budget, jobs=args.jobs, prune=not args.no_prune)
+        report = search_blowups(base, budget, jobs=args.jobs)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
     if args.tsv:
@@ -308,6 +317,7 @@ def _cmd_lemma_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_jobs(args)
     from .acceptance import run_suite
 
     results = run_suite(level=args.level, jobs=args.jobs)
@@ -376,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive in-budget scan for uniform blow-ups")
     _add_graph_arg(p)
     _add_budget_args(p)
-    p.add_argument("--no-prune", action="store_true", help="disable cut-vertex pruning")
     p.add_argument("--tsv", action="store_true", help="one-line summary instead of JSON")
     p.set_defaults(func=_cmd_search)
 

@@ -95,7 +95,8 @@ class SearchBudget:
             )
         if self.max_total_vertices is not None and self.max_total_vertices < 2:
             raise ValueError("max_total_vertices must be >= 2")
-        if self.time_limit is not None and self.time_limit <= 0:
+        # written so that NaN, which compares false, is rejected too
+        if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
 
 

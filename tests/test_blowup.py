@@ -17,13 +17,12 @@ from bugraph.blowup import (
     DeltaResult,
     DeltaUndefinedError,
     PartDescriptor,
+    Decomposition,
     blow_up,
-    closed_form_neighbor_contribution,
     decompose_betweenness,
     decomposition_json,
     delta_extremal,
     delta_xy,
-    neighbor_mass,
     shares_by_part,
     spec_from_json,
     spec_to_json,
@@ -70,6 +69,11 @@ def _rebuilt_edges(spec: BlowupSpec) -> set[tuple[int, int]]:
             for v in range(offs[j], offs[j + 1]):
                 edges.add(tuple(sorted((u, v))))
     return edges
+
+
+def _neighbor_share(spec: BlowupSpec, i: int, j: int) -> Fraction:
+    """What the pairs inside part j give each vertex of base neighbor part i."""
+    return list(shares_by_part(spec))[i][1][j]
 
 
 class TestConstruction:
@@ -144,16 +148,6 @@ class TestConstruction:
         assert g.edge_count == 15
         assert is_isomorphic(g, generate("complete", 6))
 
-    def test_base_adjacent_probe(self):
-        spec = BlowupSpec(
-            base=generate("path", 3),
-            parts=tuple(PartDescriptor.independent(2) for _ in range(3)),
-        )
-        bg = blow_up(spec)
-        assert bg.base_adjacent(0, 1) and bg.base_adjacent(1, 2)
-        assert not bg.base_adjacent(0, 2)
-        assert bg.base_neighbor_parts(0) == (1,)
-
 
 def _all_geodesics(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:
     du = bfs_distances(g, u)
@@ -210,9 +204,10 @@ class TestMetricStructure:
 
 
 class TestSigmaWithin:
-    """A non-adjacent pair inside part j has c + neighbor_mass(j)
-    geodesics, c of them through common neighbors inside the part; the
-    neighbor share reads c off the part graph."""
+    """A non-adjacent pair inside part j has c + mass(j) geodesics, c of
+    them through common neighbors inside the part and the rest through
+    the parts on base neighbors of j; the neighbor share that
+    ``shares_by_part`` gives reads c off the part graph."""
 
     def test_clique_adjacent_pair(self):
         # adjacent pairs have the edge as their only geodesic
@@ -220,14 +215,14 @@ class TestSigmaWithin:
             base=generate("path", 2),
             parts=(PartDescriptor.clique(3), PartDescriptor.independent(1)),
         )
-        assert closed_form_neighbor_contribution(spec, 1, 0) == 0
+        assert _neighbor_share(spec, 1, 0) == 0
 
     def test_independent_pair_counts_inside_common_neighbors(self):
         spec = BlowupSpec(
             base=generate("path", 2),
             parts=(PartDescriptor.independent(2), PartDescriptor.independent(3)),
         )
-        assert closed_form_neighbor_contribution(spec, 1, 0) == Fraction(1, 0 + 3)
+        assert _neighbor_share(spec, 1, 0) == Fraction(1, 0 + 3)
 
     def test_explicit_path_endpoints(self):
         p3 = generate("path", 3)
@@ -236,20 +231,22 @@ class TestSigmaWithin:
             parts=(PartDescriptor.explicit(p3), PartDescriptor.independent(2)),
         )
         # one length-2 route through the part's own middle vertex
-        assert closed_form_neighbor_contribution(spec, 1, 0) == Fraction(1, 1 + 2)
+        assert _neighbor_share(spec, 1, 0) == Fraction(1, 1 + 2)
 
     def test_neighbor_mass_sums_adjacent_parts(self):
+        # the center part 3 is I5, so that its pairs' share shows mass(3)
         spec = BlowupSpec(
             base=generate("star", 3),
             parts=(
                 PartDescriptor.independent(2),
                 PartDescriptor.independent(3),
                 PartDescriptor.independent(4),
-                PartDescriptor.clique(5),
+                PartDescriptor.independent(5),
             ),
         )
-        assert neighbor_mass(spec, 3) == 9
-        assert neighbor_mass(spec, 0) == 5
+        # mass(3) = 2 + 3 + 4 and mass(0) = 5
+        assert _neighbor_share(spec, 0, 3) == Fraction(5 * 4 // 2, 9)
+        assert _neighbor_share(spec, 3, 0) == Fraction(2 * 1 // 2, 5)
 
 
 class TestDecomposition:
@@ -266,12 +263,15 @@ class TestDecomposition:
     @settings(max_examples=30, deadline=None)
     def test_closed_form_matches_every_vertex(self, spec):
         bg = blow_up(spec)
+        shares = list(shares_by_part(spec))
         for i, j in spec.base.edges:
             for pi, pj in ((i, j), (j, i)):
-                want = closed_form_neighbor_contribution(spec, pi, pj)
+                want = shares[pi][1][pj]
                 for x in bg.part_vertices[pi]:
                     dec = decompose_betweenness(bg, x)
                     assert dec.neighbor_locals[pj] == want
+                    # the oracle reads the neighbor parts off the built graph
+                    assert list(dec.neighbor_locals) == sorted(spec.base.adjacency[pi])
 
     def test_path_data_computed_once_per_blowup(self, monkeypatch):
         # decomposing every vertex reads one all-pairs computation
@@ -292,20 +292,33 @@ class TestDecomposition:
             decompose_betweenness(bg, v)
         assert len(calls) == 1
 
-    def test_closed_form_requires_base_edge(self):
-        spec = BlowupSpec(
-            base=generate("path", 3),
-            parts=tuple(PartDescriptor.independent(2) for _ in range(3)),
-        )
-        with pytest.raises(ValueError):
-            closed_form_neighbor_contribution(spec, 0, 2)
+    def test_pair_loop_runs_once_per_explicit_part(self, monkeypatch):
+        # each part's pairs feed its neighbor share and its own share
+        # alike, so they are summed once, not once per base neighbor
+        calls = []
+        common = bugraph.blowup._common_neighbors
+
+        def counting_common(h):
+            calls.append(h)
+            return common(h)
+
+        monkeypatch.setattr(bugraph.blowup, "_common_neighbors", counting_common)
+        p3 = PartDescriptor.explicit(generate("path", 3))
+        spec = BlowupSpec(base=generate("path", 3), parts=(p3, p3, p3))
+        list(shares_by_part(spec))
+        assert len(calls) == 3
+
+    def test_equality_compares_neighbor_locals(self):
+        one = Decomposition(0, Fraction(1), Fraction(0), {1: Fraction(1)})
+        assert one == Decomposition(0, Fraction(1), Fraction(0), {1: Fraction(1)})
+        assert one != Decomposition(0, Fraction(1), Fraction(0), {1: Fraction(5), 2: Fraction(7)})
 
     def test_clique_neighbor_contributes_nothing(self):
         spec = BlowupSpec(
             base=generate("path", 2),
             parts=(PartDescriptor.independent(3), PartDescriptor.clique(4)),
         )
-        assert closed_form_neighbor_contribution(spec, 0, 1) == 0
+        assert _neighbor_share(spec, 0, 1) == 0
 
     def test_middle_part_share_closed_form(self):
         # path3 with independent parts a, a+b, b: the middle part hands
@@ -320,7 +333,7 @@ class TestDecomposition:
             ),
         )
         m = a + b
-        assert closed_form_neighbor_contribution(spec, 0, 1) == Fraction(
+        assert _neighbor_share(spec, 0, 1) == Fraction(
             m * (m - 1) // 2, m
         )
 
@@ -378,7 +391,7 @@ class TestLeafGlobalFormula:
 def _reference_delta(spec: BlowupSpec, leaf_part: int = 0) -> DeltaResult:
     """The extremal ratio from first principles on the built blow-up."""
     bg = blow_up(spec)
-    nbrs = bg.base_neighbor_parts(leaf_part)
+    nbrs = spec.base.adjacency[leaf_part]
     assert len(nbrs) == 1
     px, py = leaf_part, nbrs[0]
     profile = betweenness_exact(bg.graph)

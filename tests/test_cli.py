@@ -7,11 +7,19 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import bugraph
+from bugraph.acceptance import _corpus_specs
+from bugraph.blowup import (
+    Decomposition,
+    blow_up,
+    decompose_betweenness,
+    spec_to_json,
+)
 from bugraph.cli import main
 from bugraph.graphs import generate, parse_graph6, serialize_graph6
 
@@ -178,6 +186,69 @@ class TestBlowupAndDecompose:
         assert code == 3
         assert "internal error" not in err
 
+    def test_undecodable_spec_file(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "decompose", "-s", str(path), "-v", "0")
+        assert code == 3
+        assert out == "" and "cannot read" in err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"base": 5, "parts": []},
+            {"base": "A_", "parts": [{"kind": "X", "graph6": 7}, {"kind": "I", "size": 1}]},
+        ],
+    )
+    def test_non_string_graph6(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "blowup", "-s", str(path))
+        assert code == 3
+        assert out == "" and "graph6 must be a JSON string" in err
+
+    def test_decompose_million_vertex_parts(self, capsys, tmp_path):
+        # Ch[K1000000,I1000000,I999999,K3]: the blow-up would have about
+        # 10^12 edges, so this only answers if nothing builds it.  Vertex
+        # 1000000 is the first of part 1; by hand its global share is
+        # s0*s2/s1 + s0*s3/s1 = 999999 + 3, and part 2's pairs give it
+        # C(999999, 2) / (s1 + s3).
+        path = tmp_path / "big.json"
+        parts = [
+            {"kind": "K", "size": 1000000},
+            {"kind": "I", "size": 1000000},
+            {"kind": "I", "size": 999999},
+            {"kind": "K", "size": 3},
+        ]
+        path.write_text(json.dumps({"base": "Ch", "parts": parts}))
+        code, out, _ = run(capsys, "decompose", "-s", str(path), "-v", "1000000")
+        assert code == 0
+        assert json.loads(out) == {
+            "vertex": 1000000,
+            "global_part": "1000002",
+            "own_local": "0",
+            "neighbor_locals": {"0": "0", "2": "499998500001/1000003"},
+        }
+
+    def test_decompose_matches_the_oracle(self, capsys, tmp_path):
+        # the CLI reads the closed-form shares; the oracle classifies
+        # every pair on the built graph
+        path = tmp_path / "spec.json"
+        for spec in _corpus_specs()[:12]:
+            path.write_text(json.dumps(spec_to_json(spec)))
+            bg = blow_up(spec)
+            for v in range(bg.graph.n):
+                code, out, _ = run(capsys, "decompose", "-s", str(path), "-v", str(v))
+                assert code == 0
+                obj = json.loads(out)
+                got = Decomposition(
+                    obj["vertex"],
+                    Fraction(obj["global_part"]),
+                    Fraction(obj["own_local"]),
+                    {int(j): Fraction(x) for j, x in obj["neighbor_locals"].items()},
+                )
+                assert got == decompose_betweenness(bg, v), (spec.label(), v)
+
 
 class TestConstruct:
     def test_p3_example(self, capsys):
@@ -234,6 +305,14 @@ class TestSearch:
     def test_time_limit_flag(self, capsys):
         code, out, _ = run(capsys, "search", "-g", P4, "--max-size", "4", "--time-limit", "1e-9")
         assert json.loads(out)["exhausted"] is False
+
+    def test_nan_time_limit_is_bad_input(self, capsys):
+        code, out, err = run(capsys, "search", "-g", P4, "--time-limit", "nan")
+        assert code == 3
+        assert out == "" and "time_limit" in err
+
+    def test_no_prune_flag_is_gone(self, capsys):
+        assert run(capsys, "search", "-g", P4, "--no-prune")[0] == 2
 
     def test_bad_family_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "search", "-g", P4, "--family", "zoo")
@@ -338,6 +417,13 @@ class TestLemmaTable:
         code, out, _ = run(capsys, "lemma-table", *argv)
         assert code == 3
         assert out == ""
+
+
+class TestVerifyPaper:
+    def test_zero_jobs_is_bad_input(self, capsys):
+        code, out, err = run(capsys, "verify-paper", "--jobs", "0")
+        assert code == 3
+        assert out == "" and err == "error: --jobs must be >= 1\n"
 
 
 class TestEnum:

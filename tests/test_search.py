@@ -83,6 +83,8 @@ class TestCandidates:
         with pytest.raises(ValueError):
             SearchBudget(time_limit=0)
         with pytest.raises(ValueError):
+            SearchBudget(time_limit=float("nan"))
+        with pytest.raises(ValueError):
             SearchBudget(max_total_vertices=1)
 
 
