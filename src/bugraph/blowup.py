@@ -11,24 +11,32 @@ of a blown-up vertex split cleanly into
 * an own-part share: pairs inside the vertex's own part, and
 * one share per base-neighbor part: pairs inside that part.
 
-``shares_by_part`` is the one production route: it evaluates all
-three shares in closed form from the base graph and the parts alone,
-without building the blow-up.  ``betweenness_by_part`` sums them for
-the search screen, ``delta_xy``/``delta_extremal`` read them for the
-leaf-part ratio, and ``bugraph decompose`` prints one part's entry.
-``decompose_betweenness`` is only the reference: it computes the same
-split from first principles by classifying every pair contribution on
-the built graph (``blow_up``), so the two routes can be compared
-exactly.
+The closed form is the one production route, and it evaluates all
+three shares from the base graph and the parts alone, without
+building the blow-up.  Its size-independent half is a
+``GeodesicPlan``, built once per base graph: BFS orders with
+predecessor lists, and for each base vertex the pairs whose geodesics
+pass through it.  Given the part sizes, the plan returns one common
+denominator d, the integer numerators over d of every part's global
+share, and each part's neighbor mass; ``local_numerators`` adds the
+numerators of the shares inside parts.  The search screen compares
+these integers directly.  ``shares_by_part`` is their ``Fraction``
+view: ``betweenness_by_part`` sums it, ``delta_xy``/``delta_extremal``
+read it for the leaf-part ratio, and ``bugraph decompose`` prints one
+part's entry.  ``decompose_betweenness`` is only the reference: it
+computes the same split from first principles by classifying every
+pair contribution on the built graph (``blow_up``), so the two routes
+can be compared exactly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .betweenness import format_rational, shortest_path_data
 from .graphs import Graph, generate, parse_graph6, serialize_graph6
@@ -39,6 +47,7 @@ __all__ = [
     "Decomposition",
     "DeltaResult",
     "DeltaUndefinedError",
+    "GeodesicPlan",
     "PartDescriptor",
     "betweenness_by_part",
     "blow_up",
@@ -46,6 +55,8 @@ __all__ = [
     "decomposition_json",
     "delta_extremal",
     "delta_xy",
+    "geodesic_plan",
+    "local_numerators",
     "shares_by_part",
     "spec_from_json",
     "spec_to_json",
@@ -135,6 +146,17 @@ class BlowupSpec:
     @property
     def total_vertices(self) -> int:
         return sum(p.size for p in self.parts)
+
+    @property
+    def edge_count(self) -> int:
+        """Edges of the blow-up, counted without building it."""
+        edges = sum(self.parts[i].size * self.parts[j].size for i, j in self.base.edges)
+        for p in self.parts:
+            if p.kind == PART_CLIQUE:
+                edges += p.size * (p.size - 1) // 2
+            elif p.kind == PART_EXPLICIT:
+                edges += p.graph.edge_count
+        return edges
 
     def label(self) -> str:
         inner = ",".join(p.label() for p in self.parts)
@@ -265,6 +287,105 @@ def _common_neighbors(h: Graph) -> Iterator[int]:
             yield bits[u] & bits[w]
 
 
+class GeodesicPlan:
+    """The part of the closed form that depends on the base graph alone.
+
+    For each source i it holds the other base vertices in BFS order,
+    each with its predecessors, and for each base vertex k the
+    non-adjacent pairs (i, j), i < j, that have k inside an i,j-geodesic.
+    ``geodesic_plan`` builds it once per base graph.
+    """
+
+    def __init__(self, base: Graph):
+        n = base.n
+        adj = base.adjacency
+        dist = base.distances
+        self.adjacency = adj
+        self.orders = tuple(
+            tuple(
+                (v, tuple(u for u in adj[v] if di[u] == di[v] - 1))
+                for v in sorted(range(n), key=di.__getitem__)[1:]
+            )
+            for di in dist
+        )
+        self.far = tuple((i, j) for i, j in combinations(range(n), 2) if dist[i][j] >= 2)
+        self.through = tuple(
+            tuple(
+                (p, i, j)
+                for p, (i, j) in enumerate(self.far)
+                if k != i and k != j and dist[i][k] + dist[k][j] == dist[i][j]
+            )
+            for k in range(n)
+        )
+
+    def size_shares(self, sizes, counts) -> tuple[int, list[int], list[int]]:
+        """Common denominator, global-share numerators and neighbor masses.
+
+        Returns ``(d, glob, mass)``: part k's global share is
+        ``glob[k] / d``, and ``mass[j]`` is the total size of the parts on
+        the base neighbors of j.  d is the lcm of W(i, j) over the
+        non-adjacent pairs, of every mass, and of mass(j) + c for each
+        common-neighbor count c in ``counts[j]`` (given for explicit parts
+        only), so every local share is an integer over d as well.  None of
+        these terms grows in number with the size of an I or K part.
+        """
+        n = len(sizes)
+        w = []
+        for i, order in enumerate(self.orders):
+            wi = [0] * n
+            wi[i] = 1
+            # acc[u]: the weight u passes on, W(i, u) times u's own size
+            acc = [0] * n
+            acc[i] = 1
+            for v, preds in order:
+                x = 0
+                for u in preds:
+                    x += acc[u]
+                wi[v] = x
+                acc[v] = x * sizes[v]
+            w.append(wi)
+        mass = [sum(sizes[u] for u in nbrs) for nbrs in self.adjacency]
+        far_w = [w[i][j] for i, j in self.far]
+        extra = (m + c for m, cs in zip(mass, counts) for c in cs)
+        d = lcm(*far_w, *mass, *extra)
+        q = [sizes[i] * sizes[j] * (d // wij) for (i, j), wij in zip(self.far, far_w)]
+        glob = [
+            sum(q[p] * w[i][k] * w[k][j] for p, i, j in pairs)
+            for k, pairs in enumerate(self.through)
+        ]
+        return d, glob, mass
+
+
+@lru_cache(maxsize=128)
+def geodesic_plan(base: Graph) -> GeodesicPlan:
+    """The ``GeodesicPlan`` of a base graph, built once per graph."""
+    return GeodesicPlan(base)
+
+
+def local_numerators(
+    part: PartDescriptor, commons, mass: int, d: int
+) -> tuple[int, tuple[int, ...] | None]:
+    """A part's neighbor share and own shares as numerators over d.
+
+    ``commons`` holds the ``_common_neighbors`` bitmasks of an explicit
+    part's graph, and d must be a multiple of mass and of mass + c for
+    each of their counts c, as ``GeodesicPlan.size_shares`` makes it.
+    """
+    if part.kind == PART_INDEPENDENT:
+        return part.size * (part.size - 1) // 2 * (d // mass), None
+    if part.kind == PART_CLIQUE:
+        return 0, None
+    total = 0
+    own = [0] * part.size
+    for common in commons:
+        share = d // (common.bit_count() + mass)
+        total += share
+        for v in range(part.size):
+            if common >> v & 1:
+                own[v] += share
+    return total, tuple(own)
+
+
 def shares_by_part(
     spec: BlowupSpec,
 ) -> Iterator[tuple[Fraction, dict[int, Fraction], tuple[Fraction, ...] | None]]:
@@ -290,60 +411,28 @@ def shares_by_part(
       non-adjacent pairs x, y of H_k that both neighbor v.  It is
       ``None`` for I and K parts, whose own share is zero.
 
-    The work depends on the base and on explicit part graphs, never on
-    the sizes of I and K parts.  Parts are evaluated lazily, so a caller
-    may stop at the first one it needs; the pairs inside each part are
-    summed once, on first use, for its neighbor and own shares alike.
+    This is the ``Fraction`` view of the integer route the search screen
+    uses: ``GeodesicPlan.size_shares`` gives the global numerators and
+    masses over one denominator d, and ``local_numerators`` the local
+    ones.  The work depends on the base and on explicit part graphs,
+    never on the sizes of I and K parts; the pairs inside each explicit
+    part are listed once, for its neighbor and own shares alike.
     """
-    base = spec.base
-    n = base.n
-    adj = base.adjacency
-    dist = base.distances
-    sizes = [p.size for p in spec.parts]
-    w = []
-    for i in range(n):
-        di = dist[i]
-        wi = [0] * n
-        wi[i] = 1
-        for v in sorted(range(n), key=di.__getitem__)[1:]:
-            wi[v] = sum(
-                wi[u] * (sizes[u] if u != i else 1) for u in adj[v] if di[u] == di[v] - 1
-            )
-        w.append(wi)
-    # local[j]: the neighbor share of part j's pairs and, for an
-    # explicit part, its own-share tuple; filled on first use
-    local: list = [None] * n
-
-    def local_shares(j: int):
-        if local[j] is None:
-            part = spec.parts[j]
-            mass = sum(sizes[i] for i in adj[j])
-            if part.kind == PART_INDEPENDENT:
-                local[j] = Fraction(part.size * (part.size - 1) // 2, mass), None
-            elif part.kind == PART_CLIQUE:
-                local[j] = Fraction(0), None
-            else:
-                total = Fraction(0)
-                own = [Fraction(0)] * part.size
-                for common in _common_neighbors(part.graph):
-                    share = Fraction(1, common.bit_count() + mass)
-                    total += share
-                    for v in range(part.size):
-                        if common >> v & 1:
-                            own[v] += share
-                local[j] = total, tuple(own)
-        return local[j]
-
-    for k, part in enumerate(spec.parts):
-        dk = dist[k]
-        glob = Fraction(0)
-        for i in range(n):
-            di = dist[i]
-            for j in range(i + 1, n):
-                if k != i and k != j and di[k] + dk[j] == di[j]:
-                    glob += Fraction(sizes[i] * sizes[j] * w[i][k] * w[k][j], w[i][j])
-        nbr = {j: local_shares(j)[0] for j in adj[k]}
-        yield glob, nbr, local_shares(k)[1] if part.kind == PART_EXPLICIT else None
+    parts = spec.parts
+    commons = [
+        tuple(_common_neighbors(p.graph)) if p.kind == PART_EXPLICIT else () for p in parts
+    ]
+    d, glob, mass = geodesic_plan(spec.base).size_shares(
+        [p.size for p in parts], [{c.bit_count() for c in cs} for cs in commons]
+    )
+    local = [local_numerators(*args, d) for args in zip(parts, commons, mass)]
+    for k, nbrs in enumerate(spec.base.adjacency):
+        own = local[k][1]
+        yield (
+            Fraction(glob[k], d),
+            {j: Fraction(local[j][0], d) for j in nbrs},
+            None if own is None else tuple(Fraction(o, d) for o in own),
+        )
 
 
 def betweenness_by_part(spec: BlowupSpec) -> Iterator[tuple[Fraction, ...]]:

@@ -78,6 +78,11 @@ EXIT_BAD_INPUT = 3
 EXIT_NOT_UNIFORM = 10
 EXIT_INTERNAL = 1
 
+# ``blowup`` and ``construct`` build the whole graph in memory, and
+# ``construct`` also runs the exact engine on it; larger specs are
+# refused as bad input before anything is built.
+MAX_BLOWUP_EDGES = 1_000_000
+
 
 class _InputError(Exception):
     """Anything wrong with user-supplied data (exit code 3)."""
@@ -145,9 +150,19 @@ def _cmd_uniform(args) -> int:
     return EXIT_OK if verdict.uniform else EXIT_NOT_UNIFORM
 
 
+def _blow_up_checked(spec):
+    edges = spec.edge_count
+    if edges > MAX_BLOWUP_EDGES:
+        raise _InputError(
+            f"the blow-up {spec.label()} would have {edges} edges, "
+            f"more than the {MAX_BLOWUP_EDGES} this command builds"
+        )
+    return blow_up(spec)
+
+
 def _cmd_blowup(args) -> int:
     spec = _load_spec(args.spec)
-    bg = blow_up(spec)
+    bg = _blow_up_checked(spec)
     _emit(
         {
             "graph6": serialize_graph6(bg.graph),
@@ -198,7 +213,7 @@ def _build_family_spec(family: str, sizes: list[int]):
 
 def _cmd_construct(args) -> int:
     spec = _build_family_spec(args.family, args.sizes)
-    bg = blow_up(spec)
+    bg = _blow_up_checked(spec)
     verdict = is_betweenness_uniform(bg.graph)
     _emit(
         {

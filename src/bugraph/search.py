@@ -2,11 +2,21 @@
 
 ``search_blowups`` walks every assignment of candidate parts to the
 base vertices within a budget and tests each blow-up for uniform
-betweenness.  The hot loop screens with ``betweenness_by_part``, which
-evaluates the exact betweenness decomposition on the base graph and
-the parts without building the blown-up graph, so its cost does not
-depend on part sizes; it stops at the first part whose value differs.
-Every positive is then re-verified twice over, with the two
+betweenness.  The screen never builds the blown-up graph.  It reads the
+closed form of ``blowup.shares_by_part`` in integers: the base's
+``GeodesicPlan`` gives, for a tuple of part sizes, one common
+denominator and the numerators of every part's global share and
+neighbor mass, and ``local_numerators`` the numerators of the shares
+inside parts.  The blow-up is uniform iff every vertex gets the same
+numerator; the screen stops at the first part that differs.
+
+A scan task walks its range of assignment indices with an
+``itertools.product`` odometer, last base vertex fastest.  The
+size-only data is memoised per size tuple within one scan task: I_m
+and K_m candidates, and all explicit classes of one size, share it, so
+the plan runs once per size tuple rather than once per assignment, and
+only the kind-dependent local numerators differ between assignments.  The work per assignment does not grow with part
+sizes.  Every positive is then re-verified twice over, with the two
 independent betweenness algorithms on the built graph, before it is
 reported.
 
@@ -26,15 +36,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from itertools import islice, product
+from math import inf, prod
 
 from .betweenness import betweenness_exact, betweenness_oracle, profile_uniformity
 from .blowup import (
+    PART_EXPLICIT,
     BlowupSpec,
+    GeodesicPlan,
     PartDescriptor,
-    betweenness_by_part,
+    _common_neighbors,
     blow_up,
     delta_extremal,
+    geodesic_plan,
+    local_numerators,
     spec_to_json,
 )
 from .constructions import p2_clique_spec, star_spec
@@ -95,9 +110,11 @@ class SearchBudget:
             )
         if self.max_total_vertices is not None and self.max_total_vertices < 2:
             raise ValueError("max_total_vertices must be >= 2")
-        # written so that NaN, which compares false, is rejected too
-        if self.time_limit is not None and not self.time_limit > 0:
-            raise ValueError("time_limit must be positive")
+        # written so that NaN, which compares false, is rejected too;
+        # infinity would pass through to the report, where JSON has no
+        # spelling for it
+        if self.time_limit is not None and not 0 < self.time_limit < inf:
+            raise ValueError("time_limit must be positive and finite")
 
 
 @dataclass
@@ -129,21 +146,6 @@ def candidate_parts(budget: SearchBudget) -> tuple[PartDescriptor, ...]:
 # the screen: exact uniformity decision without building the blow-up
 
 
-def _screen_uniform(base: Graph, parts) -> bool:
-    """Exact uniformity of the blow-up, read off the base and the parts.
-
-    ``base.distances`` is cached on the Graph, so a scan task computes
-    the base distances once, not once per spec.
-    """
-    common = None
-    for values in betweenness_by_part(BlowupSpec(base=base, parts=parts)):
-        if common is None:
-            common = values[0]
-        if any(v != common for v in values):
-            return False
-    return True
-
-
 def _verify_hit(spec: BlowupSpec) -> None:
     # Screen positives must survive both full algorithms; a mismatch is a
     # bug in this module and is raised, never swallowed.
@@ -155,35 +157,103 @@ def _verify_hit(spec: BlowupSpec) -> None:
         raise RuntimeError(f"betweenness algorithms disagree on {spec.label()}")
 
 
-# ---------------------------------------------------------------------------
-# the search proper
+def _size_entry(plan: GeodesicPlan, slots, sizes) -> tuple[list[int], list[tuple]]:
+    """What the screen needs of one size tuple, for every candidate kind.
 
-
-def _decode_parts(index: int, cand_lists) -> tuple[PartDescriptor, ...]:
-    parts: list[PartDescriptor] = []
-    for cands in reversed(cand_lists):
-        index, digit = divmod(index, len(cands))
-        parts.append(cands[digit])
-    parts.reverse()
-    return tuple(parts)
+    ``slots[j][s]`` lists the candidates of size s of base vertex j, each
+    with the ``_common_neighbors`` bitmasks of its graph (empty for I and
+    K).  Returns the global numerators and, per base vertex j, a flat
+    tuple holding, for each candidate of size ``sizes[j]`` in turn, its
+    neighbor numerator and the own numerator that every vertex of the
+    part shares, or None when the part's own shares differ.
+    """
+    counts = [
+        {c.bit_count() for _, commons in slot[s] for c in commons}
+        for slot, s in zip(slots, sizes)
+    ]
+    d, glob, mass = plan.size_shares(sizes, counts)
+    rows = []
+    for slot, s, m in zip(slots, sizes, mass):
+        row = []
+        for cand, commons in slot[s]:
+            nbr, own = local_numerators(cand, commons, m, d)
+            if own is None:
+                row += (nbr, 0)
+            else:
+                row += (nbr, own[0] if len(set(own)) == 1 else None)
+        rows.append(tuple(row))
+    return glob, rows
 
 
 def _scan_task(args) -> tuple[int, list[tuple[int, tuple[PartDescriptor, ...]]], bool]:
+    """Screen the assignments with indices lo..hi-1.
+
+    Assignments are numbered in ``itertools.product`` order over
+    ``cand_lists``.  One is uniform iff every vertex of its blow-up gets
+    the same numerator over its size tuple's common denominator; the
+    size-only data is computed once per size tuple.
+    """
     base, cand_lists, lo, hi, max_total, deadline = args
+    plan = geodesic_plan(base)
+    adj = base.adjacency
+    slots = []
+    # where[j][ci]: the offset of candidate ci in vertex j's row of a size entry
+    where = []
+    for cands in cand_lists:
+        slot: dict[int, list] = {}
+        offsets = []
+        for cand in cands:
+            same = slot.setdefault(cand.size, [])
+            offsets.append(2 * len(same))
+            commons = tuple(_common_neighbors(cand.graph)) if cand.kind == PART_EXPLICIT else ()
+            same.append((cand, commons))
+        slots.append(slot)
+        where.append(offsets)
+    memo: dict[tuple[int, ...], tuple[list[int], list[tuple]]] = {}
+    odometer = zip(
+        product(*cand_lists),
+        product(*([c.size for c in cands] for cands in cand_lists)),
+        product(*where),
+    )
     examined = 0
     found: list[tuple[int, tuple[PartDescriptor, ...]]] = []
     completed = True
-    for idx in range(lo, hi):
+    for idx, (parts, sizes, offsets) in enumerate(islice(odometer, lo, hi), lo):
         if deadline is not None and time.monotonic() > deadline:
             completed = False
             break
-        parts = _decode_parts(idx, cand_lists)
-        if max_total is not None and sum(p.size for p in parts) > max_total:
+        if max_total is not None and sum(sizes) > max_total:
             continue
         examined += 1
-        if _screen_uniform(base, parts):
+        entry = memo.get(sizes)
+        if entry is None:
+            # Candidate lists run in order of size, so once the first
+            # part's size moves on, no stored size tuple comes back (one
+            # that did would only be recomputed); this keeps the memo to
+            # the size tuples of one first size.
+            if memo and sizes[0] != next(iter(memo))[0]:
+                memo.clear()
+            entry = memo[sizes] = _size_entry(plan, slots, sizes)
+        glob, rows = entry
+        common = None
+        for k, value in enumerate(glob):
+            own = rows[k][offsets[k] + 1]
+            if own is None:
+                break
+            value += own
+            for j in adj[k]:
+                value += rows[j][offsets[j]]
+            if common is None:
+                common = value
+            elif value != common:
+                break
+        else:
             found.append((idx, parts))
     return examined, found, completed
+
+
+# ---------------------------------------------------------------------------
+# the search proper
 
 
 def search_blowups(

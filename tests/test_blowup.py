@@ -78,6 +78,11 @@ def _neighbor_share(spec: BlowupSpec, i: int, j: int) -> Fraction:
 
 class TestConstruction:
     @given(blowup_specs())
+    @settings(max_examples=40, deadline=None)
+    def test_edge_count_without_building(self, spec):
+        assert spec.edge_count == blow_up(spec).graph.edge_count
+
+    @given(blowup_specs())
     @settings(max_examples=50)
     def test_edge_set_matches_reconstruction(self, spec):
         bg = blow_up(spec)

@@ -230,6 +230,22 @@ class TestBlowupAndDecompose:
             "neighbor_locals": {"0": "0", "2": "499998500001/1000003"},
         }
 
+    def test_blowup_refuses_million_vertex_parts(self, capsys, tmp_path):
+        # the same spec: C(10^6, 2) + 3 part edges and 10^12 + 999999 *
+        # 10^6 + 999999 * 3 edges between parts; blowup must refuse it
+        # before building anything
+        path = tmp_path / "big.json"
+        parts = [
+            {"kind": "K", "size": 1000000},
+            {"kind": "I", "size": 1000000},
+            {"kind": "I", "size": 999999},
+            {"kind": "K", "size": 3},
+        ]
+        path.write_text(json.dumps({"base": "Ch", "parts": parts}))
+        code, out, err = run(capsys, "blowup", "-s", str(path))
+        assert code == 3
+        assert out == "" and "2500001500000 edges" in err
+
     def test_decompose_matches_the_oracle(self, capsys, tmp_path):
         # the CLI reads the closed-form shares; the oracle classifies
         # every pair on the built graph
@@ -286,6 +302,12 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "p3", "0", "2")
         assert code == 3
 
+    def test_refuses_an_oversize_blowup(self, capsys):
+        # K_1500 joined to K_1500 has C(3000, 2) = 4498500 edges
+        code, out, err = run(capsys, "construct", "p2", "1500")
+        assert code == 3
+        assert out == "" and "4498500 edges" in err
+
 
 class TestSearch:
     def test_tsv(self, capsys):
@@ -308,6 +330,14 @@ class TestSearch:
 
     def test_nan_time_limit_is_bad_input(self, capsys):
         code, out, err = run(capsys, "search", "-g", P4, "--time-limit", "nan")
+        assert code == 3
+        assert out == "" and "time_limit" in err
+
+    def test_infinite_time_limit_is_bad_input(self, capsys):
+        # JSON has no spelling for infinity, so the report could not hold it
+        code, out, err = run(
+            capsys, "search", "-g", "Bg", "--literal", "--max-size", "2", "--time-limit", "inf"
+        )
         assert code == 3
         assert out == "" and "time_limit" in err
 
@@ -373,6 +403,7 @@ class TestCensus:
             ("trees", "--n-max", "4", "--family", "all", "--max-size", "6"),
             ("trees", "--n-max", "4", "--time-limit", "-1"),
             ("trees", "--n-max", "4", "--jobs", "0"),
+            ("trees", "--n-max", "4", "--time-limit", "inf"),
         ],
     )
     def test_out_of_range_is_bad_input(self, capsys, argv):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import product
 from math import comb
 
 import pytest
@@ -16,10 +17,17 @@ from bugraph.blowup import (
     blow_up,
     spec_from_json,
 )
-from bugraph.graphs import Graph, diameter, generate, is_isomorphic, serialize_graph6
+from bugraph.graphs import (
+    Graph,
+    diameter,
+    generate,
+    is_isomorphic,
+    parse_graph6,
+    serialize_graph6,
+)
 from bugraph.search import (
     SearchBudget,
-    _screen_uniform,
+    _scan_task,
     candidate_parts,
     explore_cut_conjecture,
     lemma_table,
@@ -44,7 +52,53 @@ class TestScreen:
     @settings(max_examples=60, deadline=None)
     def test_uniform_verdict_matches_exact(self, spec):
         want = is_betweenness_uniform(blow_up(spec).graph).uniform
-        assert _screen_uniform(spec.base, spec.parts) == want
+        _, found, _ = _scan_task((spec.base, [(p,) for p in spec.parts], 0, 1, None, None))
+        assert bool(found) == want
+
+    @pytest.mark.parametrize(
+        "graph6, family, max_size",
+        [("Dhc", "ik", 2), ("CF", "ik", 3), ("DKK", "all", 2), ("Bg", "all", 3), ("Bw", "all", 3)],
+    )
+    def test_verdict_matches_exact_on_every_spec(self, graph6, family, max_size):
+        # every assignment, cut vertices included, in the screen's own
+        # order; the two "all" bases with size-3 parts bring explicit
+        # parts whose own shares differ
+        base = parse_graph6(graph6)
+        cands = candidate_parts(SearchBudget(part_family=family, max_part_size=max_size))
+        specs = list(product(cands, repeat=base.n))
+        _, found, completed = _scan_task((base, (cands,) * base.n, 0, len(specs), None, None))
+        assert completed
+        want = [
+            i
+            for i, parts in enumerate(specs)
+            if is_betweenness_uniform(blow_up(BlowupSpec(base, parts)).graph).uniform
+        ]
+        assert [i for i, _ in found] == want
+
+    def test_specs_sharing_a_size_tuple_get_their_own_verdicts(self):
+        # (2, 1, 1) on the triangle: K2 in the first part blows up to K_4,
+        # which is uniform, and I2 to K_4 minus an edge, which is not
+        rep = search_blowups(generate("cycle", 3), SearchBudget(part_family="ik", max_part_size=2))
+        labels = {s.label() for s in rep.found}
+        assert "Bw[K2,I1,I1]" in labels
+        assert "Bw[I2,I1,I1]" not in labels
+        # the same pair met in the other order within one scan
+        i1, i2, k2 = candidate_parts(SearchBudget(part_family="ik", max_part_size=2))
+        job = (generate("cycle", 3), ((k2, i2), (i1,), (i1,)), 0, 2, None, None)
+        _, found, _ = _scan_task(job)
+        assert found == [(0, (k2, i1, i1))]
+
+    def test_chunks_line_up_with_the_odometer(self):
+        # one scan over the whole space finds what 343 one-spec scans do
+        cands = candidate_parts(SearchBudget(part_family="all", max_part_size=3))
+        job = (generate("cycle", 3), (cands,) * 3)
+        _, whole, _ = _scan_task((*job, 0, len(cands) ** 3, None, None))
+        pieces = [
+            hit
+            for lo in range(len(cands) ** 3)
+            for hit in _scan_task((*job, lo, lo + 1, None, None))[1]
+        ]
+        assert whole and pieces == whole
 
     def test_large_parts_on_long_path(self):
         # 40**12 geodesics join two vertices of the end parts, past any
@@ -85,6 +139,8 @@ class TestCandidates:
         with pytest.raises(ValueError):
             SearchBudget(time_limit=float("nan"))
         with pytest.raises(ValueError):
+            SearchBudget(time_limit=float("inf"))
+        with pytest.raises(ValueError):
             SearchBudget(max_total_vertices=1)
 
 
@@ -122,9 +178,15 @@ class TestSearch:
         rep = search_blowups(generate("cycle", 3), SearchBudget(part_family="ik", max_part_size=2))
         assert "Bw[K2,I1,I1]" in {s.label() for s in rep.found}
 
-    def test_jobs_do_not_change_output(self):
-        base = generate("path", 4)
-        b = SearchBudget(part_family="ik", max_part_size=4)
+    # 1764 and 294 specs, in chunks of 111 and 19, so most chunks start
+    # in the middle of the odometer; the path3 budget has hits
+    @pytest.mark.parametrize(
+        "base, family, max_size",
+        [(generate("path", 4), "ik", 4), (generate("path", 3), "all", 3)],
+        ids=["path4-ik", "path3-all"],
+    )
+    def test_jobs_do_not_change_output(self, base, family, max_size):
+        b = SearchBudget(part_family=family, max_part_size=max_size)
         r1 = search_blowups(base, b, jobs=1)
         r2 = search_blowups(base, b, jobs=2)
         assert json.dumps(report_to_json(r1)) == json.dumps(report_to_json(r2))
