@@ -147,10 +147,11 @@ def _c3_p3_family(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
     for a in range(1, 7):
         for b in range(1, 7):
             spec = p3_independent_spec(a, b)
-            uni = profile_uniformity(betweenness_exact(blow_up(spec).graph))
+            g = blow_up(spec).graph
+            uni = profile_uniformity(betweenness_exact(g))
             if not uni.uniform:
                 return False, f"{spec.label()} not uniform"
-            reg.add_uniform(blow_up(spec).graph, "path3 family")
+            reg.add_uniform(g, "path3 family")
     return True, "all 36 path3 independent-set blow-ups uniform (sizes 1..6)"
 
 

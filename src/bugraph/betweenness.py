@@ -8,23 +8,31 @@ of rationals.
 
 Two algorithms are provided on purpose:
 
-* ``betweenness_exact`` - one BFS per source with dependency
-  accumulation (Brandes 2001) in integers only: each source's
-  dependencies are scaled by the lcm of its geodesic counts, all
-  sources share one running denominator, and each vertex gets a single
-  ``Fraction`` at the end.
-* ``betweenness_oracle`` - per-pair path counting over ``Fraction``:
-  sigma_{u,v}(x) = sigma(u,x) * sigma(x,v) whenever x sits on a
-  u,v-geodesic.
+* ``betweenness_exact`` - dependency accumulation (Brandes 2001) on
+  the twin quotient, in integers only.  Vertices with equal open
+  neighbourhoods (an independent class) or equal closed neighbourhoods
+  (a clique class) have equal betweenness, so the engine runs one BFS
+  per twin class on the class graph, with class sizes as
+  multiplicities (the source-class reduction of Puzis et al. 2015).
+  A blow-up's parts are twin classes, so a blow-up costs about what
+  its base costs; on a twin-free graph every class is one vertex and
+  this is plain Brandes.  Each source's dependencies are scaled by the
+  lcm of its geodesic counts, all sources share one running
+  denominator, and each distinct value becomes a single ``Fraction``
+  at the end.
+* ``betweenness_oracle`` - per-pair path counting over ``Fraction``
+  on the graph itself: sigma_{u,v}(x) = sigma(u,x) * sigma(x,v)
+  whenever x sits on a u,v-geodesic.
 
-They share no shortest-path code, so agreement between them is a real
-check rather than a tautology.  Disconnected input is fine; pairs in
-different components contribute nothing.
+They share no shortest-path code, and the oracle knows nothing of
+twins or blow-ups (this module imports nothing from ``blowup``), so
+agreement between them is a real check of the quotient rather than a
+tautology.  Disconnected input is fine; pairs in different components
+contribute nothing.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
@@ -43,41 +51,88 @@ __all__ = [
 ]
 
 
-def betweenness_exact(g: Graph) -> list[Fraction]:
-    """Betweenness of every vertex, by dependency accumulation.
+def _twin_classes(g: Graph) -> list[list[int]]:
+    """The twin classes of ``g``, each an ascending vertex list, in
+    order of least member.
 
-    Each source contributes delta_s(v) = sum over successors w of
-    (sigma_sv / sigma_sw) * (1 + delta_s(w)); summing over sources
-    counts every unordered pair twice, hence the final halving.
+    Vertices with one open neighbourhood form an independent class.
+    The vertices left alone there are grouped by closed neighbourhood
+    into clique classes.  A vertex v with a false twin u has no true
+    twin w: w would lie in N(v) = N(u), so u would lie in N[w] = N[v].
+    """
+    adj = g.adjacency
+    by_open: dict[tuple[int, ...], list[int]] = {}
+    for v, nbrs in enumerate(adj):
+        by_open.setdefault(nbrs, []).append(v)
+    classes = []
+    by_closed: dict[tuple[int, ...], list[int]] = {}
+    for members in by_open.values():
+        if len(members) > 1:
+            classes.append(members)
+        else:
+            v = members[0]
+            by_closed.setdefault(tuple(sorted(adj[v] + (v,))), []).append(v)
+    classes += by_closed.values()
+    classes.sort()
+    return classes
+
+
+def betweenness_exact(g: Graph) -> list[Fraction]:
+    """Betweenness of every vertex, by dependency accumulation on the
+    twin quotient.
+
+    Twins have equal betweenness, and a geodesic between vertices of
+    two different classes meets every class at most once.  So one
+    source per class suffices, run on the class graph with the class
+    sizes c as multiplicities.  sigma(w) counts the geodesics from the
+    c(s) vertices of the source class s to one vertex of class w: the
+    sum of c(p) * sigma(p) over the predecessor classes p, with
+    sigma(s) = 1.  That scales every sigma of one source vertex by c(s)
+    and leaves their ratios alone, so delta_s(v) = sum over successor
+    classes w of c(w) * (sigma_sv / sigma_sw) * (1 + delta_s(w)) is the
+    dependency of each vertex of the source class, counted c(s) times.
+    Summing over sources counts every unordered pair twice, hence the
+    final halving.  Pairs inside an independent class of c vertices meet
+    only at distance 2, through each of the ``mass`` vertices of the
+    neighbouring classes alike: C(c, 2) / mass to each of those.
 
     The recurrence runs on the integers t(v) = L * delta_s(v) / sigma_sv,
-    where L (``scale``) is the lcm of the sigma_sw over the vertices w
-    reached from s: t(v) = sum over successors w of (L / sigma_sw + t(w)).
-    Each delta_s(w) = sigma_sw * t(w) / L is added to an integer
-    numerator over one running denominator D (``den``), kept a multiple
-    of every L seen so far.
+    where L (``scale``) is the lcm of the sigma_sw over the classes w
+    reached from s: t(v) = sum over successors w of c(w) * (L / sigma_sw
+    + t(w)).  Each c(s) * delta_s(w) = c(s) * sigma_sw * t(w) / L is
+    added to an integer numerator over one running denominator D
+    (``den``), kept a multiple of every L and every mass.
     """
-    n = g.n
     adj = g.adjacency
-    num = [0] * n
-    den = 1
-    for s in range(n):
-        dist = [-1] * n
-        sigma = [0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
+    classes = _twin_classes(g)
+    m = len(classes)
+    size = [len(members) for members in classes]
+    # Class graph: each neighbouring class once, through its least member.
+    lead = [-1] * g.n
+    for i, members in enumerate(classes):
+        lead[members[0]] = i
+    cadj = [[lead[w] for w in adj[members[0]] if lead[w] >= 0] for members in classes]
+    # (class, size, mass) of each independent class with pairs and neighbours
+    inner = []
+    for i, members in enumerate(classes):
+        if len(members) > 1 and members[1] not in adj[members[0]] and cadj[i]:
+            inner.append((i, len(members), sum(size[j] for j in cadj[i])))
+    num = [0] * m
+    den = lcm(*[mass for _, _, mass in inner])
+    for s in range(m):
+        dist = [-1] * m
+        sigma = [0] * m
+        preds: list[list[int]] = [[] for _ in range(m)]
         dist[s] = 0
         sigma[s] = 1
-        order: list[int] = []
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            order.append(v)
+        order = [s]
+        for v in order:  # the BFS queue: iteration reaches appended classes
             dv1 = dist[v] + 1
-            sv = sigma[v]
-            for w in adj[v]:
+            sv = sigma[v] * size[v]
+            for w in cadj[v]:
                 if dist[w] == -1:
                     dist[w] = dv1
-                    q.append(w)
+                    order.append(w)
                 if dist[w] == dv1:
                     sigma[w] += sv
                     preds[w].append(v)
@@ -86,18 +141,27 @@ def betweenness_exact(g: Graph) -> list[Fraction]:
             k = scale // gcd(den, scale)
             num = [x * k for x in num]
             den *= k
-        factor = den // scale
-        t = [0] * n
+        factor = den // scale * size[s]
+        t = [0] * m
         for w in reversed(order[1:]):  # the source itself gains nothing
             tw = t[w]
-            c = scale // sigma[w] + tw
+            c = (scale // sigma[w] + tw) * size[w]
             for v in preds[w]:
                 t[v] += c
             if tw:
                 num[w] += sigma[w] * tw * factor
+    for i, c, mass in inner:
+        x = c * (c - 1) * (den // mass)
+        for j in cadj[i]:
+            num[j] += x
     # Equal values share one Fraction, so a uniform profile holds one.
     values = {x: Fraction(x, 2 * den) for x in set(num)}
-    return [values[x] for x in num]
+    out: list = [None] * g.n
+    for members, x in zip(classes, num):
+        value = values[x]
+        for v in members:
+            out[v] = value
+    return out
 
 
 def _counting_bfs(adj, n: int, s: int) -> tuple[list[int], list[int]]:

@@ -34,6 +34,7 @@ from .betweenness import (
     format_rational,
     is_betweenness_uniform,
     profile_json,
+    profile_uniformity,
 )
 from .blowup import (
     Decomposition,
@@ -140,13 +141,20 @@ def _cmd_bc(args) -> int:
 
 def _cmd_uniform(args) -> int:
     g = _load_graph(args.graph, args.literal)
-    verdict = is_betweenness_uniform(g)
-    _emit(
-        {
-            "uniform": verdict.uniform,
-            "common": None if verdict.common is None else format_rational(verdict.common),
+    values = betweenness_exact(g)
+    verdict = profile_uniformity(values)
+    out = {
+        "uniform": verdict.uniform,
+        "common": None if verdict.common is None else format_rational(verdict.common),
+    }
+    if not verdict.uniform:
+        # vertex 0 and the first vertex whose value differs from it
+        v = next(v for v, x in enumerate(values) if x != values[0])
+        out["witness"] = {
+            "vertices": [0, v],
+            "values": [format_rational(values[0]), format_rational(values[v])],
         }
-    )
+    _emit(out)
     return EXIT_OK if verdict.uniform else EXIT_NOT_UNIFORM
 
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from bugraph.betweenness import (
+    _twin_classes,
     betweenness_exact,
     betweenness_oracle,
     format_rational,
@@ -16,7 +18,7 @@ from bugraph.betweenness import (
     profile_uniformity,
     shortest_path_data,
 )
-from bugraph.blowup import BlowupSpec, PartDescriptor, blow_up
+from bugraph.blowup import PART_EXPLICIT, BlowupSpec, PartDescriptor, blow_up
 from bugraph.graphs import (
     Graph,
     bfs_distances,
@@ -58,9 +60,10 @@ def _grid(rows: int, cols: int) -> Graph:
 
 
 class TestIntegerEngine:
-    """betweenness_exact scales each source by an lcm of path counts and
-    keeps one running denominator; these inputs make that denominator
-    grow and change from source to source."""
+    """betweenness_exact runs one source per twin class, scales each
+    source by an lcm of path counts weighted by class sizes, and keeps
+    one running denominator; these inputs make that denominator grow
+    and change from source to source, and give classes of many sizes."""
 
     def test_path_blowup_with_prime_parts(self):
         # geodesic counts are products of distinct primes
@@ -102,6 +105,105 @@ class TestIntegerEngine:
     def test_blowups_match_oracle(self, spec):
         g = blow_up(spec).graph
         assert betweenness_exact(g) == betweenness_oracle(g)
+
+
+class TestTwinClasses:
+    @pytest.mark.parametrize(
+        "g, expected",
+        [
+            (generate("complete", 5), [[0, 1, 2, 3, 4]]),  # one clique class
+            (Graph(4), [[0, 1, 2, 3]]),  # one independent class
+            (generate("cycle", 4), [[0, 2], [1, 3]]),
+            (generate("path", 4), [[0], [1], [2], [3]]),
+            (generate("star", 4), [[0, 1, 2, 3], [4]]),  # leaves, then the centre
+            (Graph(5, tuple((u, v) for u in (0, 1) for v in (2, 3, 4))), [[0, 1], [2, 3, 4]]),
+            (Graph(6, ((0, 1), (1, 2))), [[0, 2], [1], [3, 4, 5]]),  # isolated vertices
+            (Graph(5, ((0, 1), (1, 2), (1, 3), (2, 3))), [[0], [1], [2, 3], [4]]),
+        ],
+        ids=["K5", "empty", "C4", "P4", "star", "K23", "isolated", "paw"],
+    )
+    def test_partition(self, g, expected):
+        assert _twin_classes(g) == expected
+
+    def test_star_blowup_leaf_parts_merge(self):
+        # I parts on the leaves share one open neighbourhood, the centre part
+        spec = BlowupSpec(
+            base=generate("star", 3),
+            parts=(
+                PartDescriptor.independent(2),
+                PartDescriptor.independent(3),
+                PartDescriptor.independent(1),
+                PartDescriptor.clique(2),
+            ),
+        )
+        assert _twin_classes(blow_up(spec).graph) == [[0, 1, 2, 3, 4, 5], [6, 7]]
+
+
+_EXPLICIT_PARTS = [g for n in (2, 3, 4) for g in enumerate_graphs(n)]
+
+
+def _random_blowup(rng: random.Random) -> tuple[Graph, int]:
+    """A seeded I/K/explicit blow-up of a connected base with at most 5
+    vertices and parts of at most 8, relabelled by a seeded permutation
+    so that no part is contiguous; with it, the number of parts plus
+    explicit-part vertices, which bounds its twin-class count."""
+    n = rng.randint(2, 5)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3}
+    parts, bound = [], 0
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.4:
+            parts.append(PartDescriptor.independent(rng.randint(1, 8)))
+        elif r < 0.8:
+            parts.append(PartDescriptor.clique(rng.randint(1, 8)))
+        else:
+            parts.append(PartDescriptor.for_graph(rng.choice(_EXPLICIT_PARTS)))
+        bound += parts[-1].size if parts[-1].kind == PART_EXPLICIT else 1
+    g = blow_up(BlowupSpec(base=Graph(n, tuple(edges)), parts=tuple(parts))).graph
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm), bound
+
+
+def _twin_class_kinds(g: Graph) -> set[str]:
+    kinds = set()
+    for members in _twin_classes(g):
+        if len(members) > 1 and g.adjacency[members[0]]:
+            kinds.add("K" if g.has_edge(members[0], members[1]) else "I")
+    return kinds
+
+
+class TestTwinQuotient:
+    """The engine runs on the twin quotient: one source per class, class
+    sizes as multiplicities.  Each check also bounds the class count, so
+    a quotient that fails to merge twins shows even though it would
+    still give right values."""
+
+    def test_shuffled_blowups_match_oracle(self):
+        rng = random.Random(20261018)
+        kinds = set()
+        for _ in range(60):
+            g, bound = _random_blowup(rng)
+            assert len(_twin_classes(g)) <= bound
+            assert betweenness_exact(g) == betweenness_oracle(g)
+            kinds |= _twin_class_kinds(g)
+        assert kinds == {"I", "K"}  # both class kinds occur, with neighbours
+
+    def test_unions_with_isolated_vertices_match_oracle(self):
+        rng = random.Random(1018)
+        kinds = set()
+        for _ in range(20):
+            pieces = [_random_blowup(rng) for _ in range(rng.randint(1, 3))]
+            isolated = rng.randint(0, 3)
+            g = _disjoint_union(*(p for p, _ in pieces), Graph(isolated))
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = g.relabel(perm)
+            assert len(_twin_classes(g)) <= sum(b for _, b in pieces) + min(isolated, 1)
+            assert betweenness_exact(g) == betweenness_oracle(g)
+            kinds |= _twin_class_kinds(g)
+        assert kinds == {"I", "K"}
 
 
 class TestKnownValues:

@@ -14,6 +14,7 @@ import pytest
 
 import bugraph
 from bugraph.acceptance import _corpus_specs
+from bugraph.betweenness import betweenness_oracle, format_rational
 from bugraph.blowup import (
     Decomposition,
     blow_up,
@@ -21,6 +22,7 @@ from bugraph.blowup import (
     spec_to_json,
 )
 from bugraph.cli import main
+from bugraph.constructions import p4_mixed_spec
 from bugraph.graphs import generate, parse_graph6, serialize_graph6
 
 C4 = serialize_graph6(generate("cycle", 4))
@@ -117,6 +119,27 @@ class TestUniform:
         code, out, _ = run(capsys, "uniform", "-g", P4)
         assert code == 10
         assert json.loads(out)["uniform"] is False
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            generate("path", 4),
+            generate("star", 4),  # the centre is the last vertex
+            blow_up(p4_mixed_spec(2, 2, 2, 2)).graph,
+        ],
+        ids=["P4", "star", "p4-blowup"],
+    )
+    def test_witness_matches_the_oracle(self, capsys, g):
+        code, out, _ = run(capsys, "uniform", "-g", serialize_graph6(g), "--literal")
+        assert code == 10
+        obj = json.loads(out)
+        assert list(obj) == ["uniform", "common", "witness"]
+        assert obj["uniform"] is False and obj["common"] is None
+        oracle = betweenness_oracle(g)
+        u, v = obj["witness"]["vertices"]
+        assert u == 0 and all(x == oracle[0] for x in oracle[1:v])
+        assert obj["witness"]["values"] == [format_rational(oracle[0]), format_rational(oracle[v])]
+        assert oracle[v] != oracle[0]
 
 
 class TestBlowupAndDecompose:
