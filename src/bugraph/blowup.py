@@ -16,17 +16,18 @@ three shares from the base graph and the parts alone, without
 building the blow-up.  Its size-independent half is a
 ``GeodesicPlan``, built once per base graph: BFS orders with
 predecessor lists, and for each base vertex the pairs whose geodesics
-pass through it.  Given the part sizes, the plan returns one common
-denominator d, the integer numerators over d of every part's global
-share, and each part's neighbor mass; ``local_numerators`` adds the
-numerators of the shares inside parts.  The search screen compares
-these integers directly.  ``shares_by_part`` is their ``Fraction``
-view: ``betweenness_by_part`` sums it, ``delta_xy``/``delta_extremal``
-read it for the leaf-part ratio, and ``bugraph decompose`` prints one
-part's entry.  ``decompose_betweenness`` is only the reference: it
-computes the same split from first principles by classifying every
-pair contribution on the built graph (``blow_up``), so the two routes
-can be compared exactly.
+pass through it.  Given candidate parts of one size per base vertex,
+``GeodesicPlan.numerators`` returns one common denominator d and the
+integer numerators over d of every part's global share and of each
+candidate's shares inside parts.  The search screen compares these
+integers directly.  ``shares_by_part`` is their ``Fraction`` view, one
+candidate per vertex: ``betweenness_by_part`` sums it,
+``delta_xy``/``delta_extremal`` read it for the leaf-part ratio, and
+``bugraph decompose`` prints one part's entry.
+``decompose_betweenness`` is only the reference: it computes the same
+split from first principles by classifying every pair contribution on
+the built graph (``blow_up``), so the two routes can be compared
+exactly.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
     "delta_extremal",
     "delta_xy",
     "geodesic_plan",
-    "local_numerators",
     "shares_by_part",
     "spec_from_json",
     "spec_to_json",
@@ -123,6 +123,11 @@ class PartDescriptor:
         if self.kind == PART_EXPLICIT:
             return f"X({serialize_graph6(self.graph)})"
         return f"{self.kind}{self.size}"
+
+    @cached_property
+    def _nonedges(self) -> tuple[tuple[int, int], ...]:
+        """``_common_neighbors`` of an explicit part's graph; none for I and K."""
+        return tuple(_common_neighbors(self.graph)) if self.kind == PART_EXPLICIT else ()
 
 
 @dataclass(frozen=True)
@@ -279,12 +284,14 @@ def decompose_betweenness(bg: BlownGraph, v: int) -> Decomposition:
     return Decomposition(vertex=v, global_part=glob, own_local=own, neighbor_locals=nbr)
 
 
-def _common_neighbors(h: Graph) -> Iterator[int]:
-    """Bitmask of the common neighbors of each non-adjacent pair of h."""
+def _common_neighbors(h: Graph) -> Iterator[tuple[int, int]]:
+    """Number and bitmask of the common neighbors of each non-adjacent
+    pair of h."""
     bits = h.adjacency_bits
     for u, w in combinations(range(h.n), 2):
         if not bits[u] >> w & 1:
-            yield bits[u] & bits[w]
+            common = bits[u] & bits[w]
+            yield common.bit_count(), common
 
 
 class GeodesicPlan:
@@ -318,18 +325,22 @@ class GeodesicPlan:
             for k in range(n)
         )
 
-    def size_shares(self, sizes, counts) -> tuple[int, list[int], list[int]]:
-        """Common denominator, global-share numerators and neighbor masses.
+    def numerators(self, slots) -> tuple[int, list[int], list[list[tuple]]]:
+        """The closed form in integers, for several candidate parts at once.
 
-        Returns ``(d, glob, mass)``: part k's global share is
-        ``glob[k] / d``, and ``mass[j]`` is the total size of the parts on
-        the base neighbors of j.  d is the lcm of W(i, j) over the
-        non-adjacent pairs, of every mass, and of mass(j) + c for each
-        common-neighbor count c in ``counts[j]`` (given for explicit parts
-        only), so every local share is an integer over d as well.  None of
-        these terms grows in number with the size of an I or K part.
+        ``slots[j]`` lists candidate parts for base vertex j, all of one
+        size s_j.  Returns ``(d, glob, local)``: part k's global share is
+        ``glob[k] / d``, and ``local[j][c]`` holds, over d, the neighbor
+        numerator of candidate c of slot j and its own numerators, or
+        ``None`` for an I or K part.  With mass(j) the total size of the
+        parts on the base neighbors of j, d is the lcm of W(i, j) over the
+        non-adjacent pairs, of every mass(j), and of mass(j) + c for each
+        common-neighbor count c of an explicit candidate of slot j, so
+        every local share is an integer over d as well.  None of these
+        terms grows in number with the size of an I or K part.
         """
-        n = len(sizes)
+        n = len(slots)
+        sizes = [slot[0].size for slot in slots]
         w = []
         for i, order in enumerate(self.orders):
             wi = [0] * n
@@ -344,16 +355,16 @@ class GeodesicPlan:
                 wi[v] = x
                 acc[v] = x * sizes[v]
             w.append(wi)
-        mass = [sum(sizes[u] for u in nbrs) for nbrs in self.adjacency]
+        mass = [sum(map(sizes.__getitem__, nbrs)) for nbrs in self.adjacency]
         far_w = [w[i][j] for i, j in self.far]
-        extra = (m + c for m, cs in zip(mass, counts) for c in cs)
+        extra = {m + c for m, slot in zip(mass, slots) for p in slot for c, _ in p._nonedges}
         d = lcm(*far_w, *mass, *extra)
         q = [sizes[i] * sizes[j] * (d // wij) for (i, j), wij in zip(self.far, far_w)]
         glob = [
             sum(q[p] * w[i][k] * w[k][j] for p, i, j in pairs)
             for k, pairs in enumerate(self.through)
         ]
-        return d, glob, mass
+        return d, glob, [_local_numerators(slot, m, d) for slot, m in zip(slots, mass)]
 
 
 @lru_cache(maxsize=128)
@@ -362,28 +373,27 @@ def geodesic_plan(base: Graph) -> GeodesicPlan:
     return GeodesicPlan(base)
 
 
-def local_numerators(
-    part: PartDescriptor, commons, mass: int, d: int
-) -> tuple[int, tuple[int, ...] | None]:
-    """A part's neighbor share and own shares as numerators over d.
-
-    ``commons`` holds the ``_common_neighbors`` bitmasks of an explicit
-    part's graph, and d must be a multiple of mass and of mass + c for
-    each of their counts c, as ``GeodesicPlan.size_shares`` makes it.
-    """
-    if part.kind == PART_INDEPENDENT:
-        return part.size * (part.size - 1) // 2 * (d // mass), None
-    if part.kind == PART_CLIQUE:
-        return 0, None
-    total = 0
-    own = [0] * part.size
-    for common in commons:
-        share = d // (common.bit_count() + mass)
-        total += share
-        for v in range(part.size):
-            if common >> v & 1:
-                own[v] += share
-    return total, tuple(own)
+def _local_numerators(slot, mass: int, d: int) -> list[tuple[int, tuple[int, ...] | None]]:
+    """Each part's neighbor share and own shares as numerators over d,
+    which ``GeodesicPlan.numerators`` makes a multiple of every
+    denominator; the parts of ``slot`` sit on one base vertex."""
+    out = []
+    for part in slot:
+        if part.kind == PART_INDEPENDENT:
+            out.append((part.size * (part.size - 1) // 2 * (d // mass), None))
+        elif part.kind == PART_CLIQUE:
+            out.append((0, None))
+        else:
+            total = 0
+            own = [0] * part.size
+            for count, common in part._nonedges:
+                share = d // (count + mass)
+                total += share
+                for v in range(part.size):
+                    if common >> v & 1:
+                        own[v] += share
+            out.append((total, tuple(own)))
+    return out
 
 
 def shares_by_part(
@@ -412,20 +422,13 @@ def shares_by_part(
       ``None`` for I and K parts, whose own share is zero.
 
     This is the ``Fraction`` view of the integer route the search screen
-    uses: ``GeodesicPlan.size_shares`` gives the global numerators and
-    masses over one denominator d, and ``local_numerators`` the local
-    ones.  The work depends on the base and on explicit part graphs,
-    never on the sizes of I and K parts; the pairs inside each explicit
-    part are listed once, for its neighbor and own shares alike.
+    uses: ``GeodesicPlan.numerators`` with one candidate per base vertex.
+    The work depends on the base and on explicit part graphs, never on
+    the sizes of I and K parts; the pairs inside each explicit part are
+    listed once per descriptor, for its neighbor and own shares alike.
     """
-    parts = spec.parts
-    commons = [
-        tuple(_common_neighbors(p.graph)) if p.kind == PART_EXPLICIT else () for p in parts
-    ]
-    d, glob, mass = geodesic_plan(spec.base).size_shares(
-        [p.size for p in parts], [{c.bit_count() for c in cs} for cs in commons]
-    )
-    local = [local_numerators(*args, d) for args in zip(parts, commons, mass)]
+    d, glob, local = geodesic_plan(spec.base).numerators([(p,) for p in spec.parts])
+    local = [slot[0] for slot in local]
     for k, nbrs in enumerate(spec.base.adjacency):
         own = local[k][1]
         yield (

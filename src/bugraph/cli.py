@@ -13,6 +13,9 @@ failure a pipeline may want to branch on:
     10  the graph is not betweenness-uniform (``uniform`` only)
     1   a failed check (``verify-paper``, ``lemma-table``) or an
         unexpected internal failure
+    141 stdout was closed before all output was written (a pipe into
+        ``head``); nothing is printed, and 141 = 128 + SIGPIPE is what
+        a shell reports for a command that SIGPIPE stopped
 
 Graphs are given either inline as graph6 or as a path to a file whose
 first non-blank line is graph6; an existing file wins, ``--literal``
@@ -78,6 +81,7 @@ EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
 EXIT_NOT_UNIFORM = 10
 EXIT_INTERNAL = 1
+EXIT_BROKEN_PIPE = 141
 
 # ``blowup`` and ``construct`` build the whole graph in memory, and
 # ``construct`` also runs the exact engine on it; larger specs are
@@ -454,7 +458,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone early shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # so that the flush at shutdown finds no broken pipe either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

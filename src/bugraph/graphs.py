@@ -16,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import eq
 
 __all__ = [
     "GRAPH_ENUM_CAP",
@@ -79,10 +80,11 @@ class Graph:
             if u < 0 or v >= self.n:
                 raise ValueError(f"edge {e!r} out of range for n={self.n}")
             norm.append((u, v))
-        dedup = sorted(set(norm))
-        if len(dedup) != len(norm):
+        norm.sort()
+        # sorted, a duplicate sits next to its twin; map keeps the scan in C
+        if any(map(eq, norm, norm[1:])):
             raise ValueError("duplicate edge in edge list")
-        object.__setattr__(self, "edges", tuple(dedup))
+        object.__setattr__(self, "edges", tuple(norm))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":

@@ -3,22 +3,25 @@
 ``search_blowups`` walks every assignment of candidate parts to the
 base vertices within a budget and tests each blow-up for uniform
 betweenness.  The screen never builds the blown-up graph.  It reads the
-closed form of ``blowup.shares_by_part`` in integers: the base's
-``GeodesicPlan`` gives, for a tuple of part sizes, one common
-denominator and the numerators of every part's global share and
-neighbor mass, and ``local_numerators`` the numerators of the shares
-inside parts.  The blow-up is uniform iff every vertex gets the same
-numerator; the screen stops at the first part that differs.
+closed form of ``blowup.shares_by_part`` in integers: for a tuple of
+part sizes, one ``GeodesicPlan.numerators`` call on the base's plan
+takes every candidate of those sizes and returns one common
+denominator, the numerators of every part's global share, and each
+candidate's numerators of the shares inside parts.  The blow-up is
+uniform iff every vertex gets the same numerator; the screen stops at
+the first part that differs.
 
 A scan task walks its range of assignment indices with an
-``itertools.product`` odometer, last base vertex fastest.  The
-size-only data is memoised per size tuple within one scan task: I_m
-and K_m candidates, and all explicit classes of one size, share it, so
-the plan runs once per size tuple rather than once per assignment, and
-only the kind-dependent local numerators differ between assignments.  The work per assignment does not grow with part
-sizes.  Every positive is then re-verified twice over, with the two
-independent betweenness algorithms on the built graph, before it is
-reported.
+``itertools.product`` odometer, last base vertex fastest.  That call's
+result, reduced to what the screen compares, is memoised per size
+tuple within one scan task: I_m and K_m candidates, and all explicit
+classes of one size, share it, so the plan runs once per size tuple
+rather than once per assignment.
+The work per assignment does not grow with part sizes.  A serial
+search is one scan task run inline; a parallel one splits the space
+into tasks for a process pool.  Every positive is then re-verified
+twice over, with the two independent betweenness algorithms on the
+built graph, before it is reported.
 
 Pruning: a size-1 part on a base *cut vertex* leaves a cut vertex in
 the blown-up graph, and no uniform graph on three or more vertices has
@@ -41,15 +44,12 @@ from math import inf, prod
 
 from .betweenness import betweenness_exact, betweenness_oracle, profile_uniformity
 from .blowup import (
-    PART_EXPLICIT,
     BlowupSpec,
     GeodesicPlan,
     PartDescriptor,
-    _common_neighbors,
     blow_up,
     delta_extremal,
     geodesic_plan,
-    local_numerators,
     spec_to_json,
 )
 from .constructions import p2_clique_spec, star_spec
@@ -160,27 +160,18 @@ def _verify_hit(spec: BlowupSpec) -> None:
 def _size_entry(plan: GeodesicPlan, slots, sizes) -> tuple[list[int], list[tuple]]:
     """What the screen needs of one size tuple, for every candidate kind.
 
-    ``slots[j][s]`` lists the candidates of size s of base vertex j, each
-    with the ``_common_neighbors`` bitmasks of its graph (empty for I and
-    K).  Returns the global numerators and, per base vertex j, a flat
-    tuple holding, for each candidate of size ``sizes[j]`` in turn, its
+    ``slots[j][s]`` lists the candidates of size s of base vertex j.
+    Returns the global numerators and, per base vertex j, a flat tuple
+    holding, for each candidate of size ``sizes[j]`` in turn, its
     neighbor numerator and the own numerator that every vertex of the
     part shares, or None when the part's own shares differ.
     """
-    counts = [
-        {c.bit_count() for _, commons in slot[s] for c in commons}
-        for slot, s in zip(slots, sizes)
-    ]
-    d, glob, mass = plan.size_shares(sizes, counts)
+    _, glob, local = plan.numerators([slot[s] for slot, s in zip(slots, sizes)])
     rows = []
-    for slot, s, m in zip(slots, sizes, mass):
+    for cands in local:
         row = []
-        for cand, commons in slot[s]:
-            nbr, own = local_numerators(cand, commons, m, d)
-            if own is None:
-                row += (nbr, 0)
-            else:
-                row += (nbr, own[0] if len(set(own)) == 1 else None)
+        for nbr, own in cands:
+            row += (nbr, 0 if own is None else own[0] if len(set(own)) == 1 else None)
         rows.append(tuple(row))
     return glob, rows
 
@@ -200,13 +191,12 @@ def _scan_task(args) -> tuple[int, list[tuple[int, tuple[PartDescriptor, ...]]],
     # where[j][ci]: the offset of candidate ci in vertex j's row of a size entry
     where = []
     for cands in cand_lists:
-        slot: dict[int, list] = {}
+        slot: dict[int, list[PartDescriptor]] = {}
         offsets = []
         for cand in cands:
             same = slot.setdefault(cand.size, [])
             offsets.append(2 * len(same))
-            commons = tuple(_common_neighbors(cand.graph)) if cand.kind == PART_EXPLICIT else ()
-            same.append((cand, commons))
+            same.append(cand)
         slots.append(slot)
         where.append(offsets)
     memo: dict[tuple[int, ...], tuple[list[int], list[tuple]]] = {}
@@ -283,41 +273,33 @@ def search_blowups(
     # deadline taken here, and a wall-clock step cannot move it.
     deadline = time.monotonic() + budget.time_limit if budget.time_limit is not None else None
 
-    raw_found: list[tuple[int, tuple[PartDescriptor, ...]]] = []
-    if jobs <= 1 or space < 256:
-        examined, raw_found, completed = _scan_task(
-            (base, cand_lists, 0, space, budget.max_total_vertices, deadline)
-        )
-        exhausted = completed
-    else:
+    # one task run inline, or about eight per worker for a process pool;
+    # an empty space (no candidate fits a cut vertex) still needs a step
+    chunk = max(1, space if jobs <= 1 or space < 256 else -(-space // (jobs * 8)))
+    tasks = [
+        (base, cand_lists, lo, min(lo + chunk, space), budget.max_total_vertices, deadline)
+        for lo in range(0, space, chunk)
+    ]
+    if len(tasks) > 1:
         # Imported here: the pool pulls in multiprocessing, which only
         # parallel searches need.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, -(-space // (jobs * 8)))
-        tasks = [
-            (base, cand_lists, lo, min(lo + chunk, space), budget.max_total_vertices, deadline)
-            for lo in range(0, space, chunk)
-        ]
-        examined = 0
-        exhausted = True
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for exa, hits, completed in pool.map(_scan_task, tasks):
-                examined += exa
-                raw_found.extend(hits)
-                exhausted = exhausted and completed
-
-    found = []
-    for _, parts in sorted(raw_found, key=lambda t: t[0]):
-        spec = BlowupSpec(base=base, parts=parts)
+            results = list(pool.map(_scan_task, tasks))
+    else:
+        results = list(map(_scan_task, tasks))
+    # the tasks cover consecutive index ranges and map keeps their order,
+    # so the hits arrive in assignment order
+    found = [BlowupSpec(base=base, parts=parts) for _, hits, _ in results for _, parts in hits]
+    for spec in found:
         _verify_hit(spec)
-        found.append(spec)
     return SearchReport(
         base=base,
         budget=budget,
         found=found,
-        exhausted=exhausted,
-        specs_examined=examined,
+        exhausted=all(completed for _, _, completed in results),
+        specs_examined=sum(examined for examined, _, _ in results),
     )
 
 

@@ -299,7 +299,8 @@ class TestDecomposition:
 
     def test_pair_loop_runs_once_per_explicit_part(self, monkeypatch):
         # each part's pairs feed its neighbor share and its own share
-        # alike, so they are summed once, not once per base neighbor
+        # alike, and its descriptor caches them, so they are listed once
+        # per distinct descriptor, not once per base neighbor or per slot
         calls = []
         common = bugraph.blowup._common_neighbors
 
@@ -311,7 +312,11 @@ class TestDecomposition:
         p3 = PartDescriptor.explicit(generate("path", 3))
         spec = BlowupSpec(base=generate("path", 3), parts=(p3, p3, p3))
         list(shares_by_part(spec))
-        assert len(calls) == 3
+        list(shares_by_part(spec))
+        assert len(calls) == 1
+        p3_again = PartDescriptor.explicit(generate("path", 3))
+        list(shares_by_part(BlowupSpec(base=spec.base, parts=(p3, p3_again, p3))))
+        assert len(calls) == 2
 
     def test_equality_compares_neighbor_locals(self):
         one = Decomposition(0, Fraction(1), Fraction(0), {1: Fraction(1)})

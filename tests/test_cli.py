@@ -508,15 +508,19 @@ class TestUsage:
         assert run(capsys, "--help")[0] == 0
 
 
-def _run_python(*args) -> subprocess.CompletedProcess:
+def _child_env() -> dict:
     # Put the directory of the bugraph imported here first on the child's
     # path, so the child runs the same code whatever the working directory.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(bugraph.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def _run_python(*args) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env
+        [sys.executable, *args], capture_output=True, text=True, env=_child_env()
     )
 
 
@@ -535,6 +539,26 @@ def test_console_script_end_to_end():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     assert scripts["bugraph"] == "bugraph.cli:console_main"
+
+
+@pytest.mark.parametrize(
+    "args", [("enum", "graphs", "-n", "7"), ("uniform", "-g", C4)], ids=["streamed", "buffered"]
+)
+def test_closed_stdout_exits_quietly(args):
+    # The read end is closed before the child has started, so its first
+    # write (enum streams past the buffer) or its final flush (uniform
+    # prints one short line) meets a broken pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bugraph", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
 
 
 def test_cli_imports_only_the_standard_library():

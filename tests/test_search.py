@@ -179,16 +179,25 @@ class TestSearch:
         assert "Bw[K2,I1,I1]" in {s.label() for s in rep.found}
 
     # 1764 and 294 specs, in chunks of 111 and 19, so most chunks start
-    # in the middle of the odometer; the path3 budget has hits
+    # in the middle of the odometer; the path3 budget has hits.  With
+    # parts of size 1 only, the cut vertex of path3 has no candidate, so
+    # the space is empty and must still read as exhausted.
     @pytest.mark.parametrize(
-        "base, family, max_size",
-        [(generate("path", 4), "ik", 4), (generate("path", 3), "all", 3)],
-        ids=["path4-ik", "path3-all"],
+        "base, family, max_size, examined, hits",
+        [
+            (generate("path", 4), "ik", 4, 1764, 0),
+            (generate("path", 3), "all", 3, 294, 5),
+            (generate("path", 3), "ik", 1, 0, 0),
+        ],
+        ids=["path4-ik", "path3-all", "path3-empty"],
     )
-    def test_jobs_do_not_change_output(self, base, family, max_size):
+    def test_jobs_do_not_change_output(self, base, family, max_size, examined, hits):
         b = SearchBudget(part_family=family, max_part_size=max_size)
         r1 = search_blowups(base, b, jobs=1)
         r2 = search_blowups(base, b, jobs=2)
+        for r in (r1, r2):
+            assert r.exhausted
+            assert (r.specs_examined, len(r.found)) == (examined, hits)
         assert json.dumps(report_to_json(r1)) == json.dumps(report_to_json(r2))
 
     def test_time_limit_partial(self):
