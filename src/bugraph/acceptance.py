@@ -87,14 +87,14 @@ class CriterionResult:
 class _Registry:
     """Everything later audited by the sanity criterion."""
 
-    uniform_graphs: dict[str, str] = field(default_factory=dict)  # graph6 -> source
+    uniform_graphs: dict[Graph, str] = field(default_factory=dict)  # graph -> source
     empty_claims: list[tuple[str, SearchReport]] = field(default_factory=list)
 
     def add_uniform(self, g: Graph, source: str) -> None:
         # only connected graphs enter: the two-connectivity fact is about
         # connected uniform graphs, and all blow-ups here are connected
         if is_connected(g):
-            self.uniform_graphs.setdefault(serialize_graph6(g), source)
+            self.uniform_graphs.setdefault(g, source)
 
     def add_claim(self, source: str, report: SearchReport) -> None:
         if not report.found:
@@ -330,12 +330,9 @@ def _c12_cut_conjecture(reg: _Registry, level: str, jobs: int) -> tuple[bool, st
 
 
 def _c11_sanity(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
-    from .graphs import parse_graph6
-
-    for g6, source in reg.uniform_graphs.items():
-        g = parse_graph6(g6)
+    for g, source in reg.uniform_graphs.items():
         if g.n >= 3 and not is_two_connected(g):
-            return False, f"uniform graph {g6} from {source} is not two-connected"
+            return False, f"uniform graph {serialize_graph6(g)} from {source} is not two-connected"
     for source, report in reg.empty_claims:
         if not report.exhausted:
             return False, f"empty claim from {source} was not exhausted"

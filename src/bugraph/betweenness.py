@@ -24,11 +24,18 @@ Two algorithms are provided on purpose:
   on the graph itself: sigma_{u,v}(x) = sigma(u,x) * sigma(x,v)
   whenever x sits on a u,v-geodesic.
 
-They share no shortest-path code, and the oracle knows nothing of
-twins or blow-ups (this module imports nothing from ``blowup``), so
-agreement between them is a real check of the quotient rather than a
-tautology.  Disconnected input is fine; pairs in different components
-contribute nothing.
+The oracle's per-pair loop lives in ``oracle_split(g, part_of)``: for
+any vertex labels it returns each vertex's share from pairs with
+different labels and, per label, its share from pairs inside it.
+``betweenness_oracle`` is that pass with every vertex its own label;
+``blowup.decompose_betweenness`` reads it with blow-up parts as labels.
+
+The two routes share no shortest-path code, and the oracle knows
+nothing of twins or blow-ups (this module imports nothing from
+``blowup``); labels only sort each pair's contribution and never
+change which pairs count.  So agreement is a real check of the
+quotient and of the closed form, not a tautology.  Disconnected input
+is fine; pairs in different components contribute nothing.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ __all__ = [
     "betweenness_oracle",
     "format_rational",
     "is_betweenness_uniform",
+    "oracle_split",
     "profile_json",
     "profile_uniformity",
     "shortest_path_data",
@@ -200,18 +208,28 @@ def shortest_path_data(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     return dist, sigma
 
 
-def betweenness_oracle(g: Graph) -> list[Fraction]:
-    """Betweenness by direct per-pair counting (the cross-check route)."""
+def oracle_split(g: Graph, part_of) -> tuple[list[Fraction], list[dict]]:
+    """Betweenness by direct per-pair counting, split by pair labels.
+
+    ``part_of[v]`` is any hashable label of vertex v.  Returns
+    ``(cross, inside)``: ``cross[x]`` is the share of x from pairs whose
+    endpoints carry different labels, and ``inside[x]`` maps a label p
+    to the share from pairs inside p, listing only the labels that have
+    a pair with a geodesic through x.
+    """
     n = g.n
     dist, sigma = shortest_path_data(g)
-    vals = [Fraction(0)] * n
+    cross = [Fraction(0)] * n
+    by_label: dict = {}  # label -> per-vertex share of pairs inside it
     for u in range(n):
         du = dist[u]
         su = sigma[u]
+        pu = part_of[u]
         for v in range(u + 1, n):
             d = du[v]
             if d < 2:  # adjacent (1) or unreachable (-1): no interior vertex
                 continue
+            vals = cross if part_of[v] != pu else by_label.setdefault(pu, [0] * n)
             dv = dist[v]
             sv = sigma[v]
             denom = su[v]
@@ -220,7 +238,14 @@ def betweenness_oracle(g: Graph) -> list[Fraction]:
                     continue
                 if du[x] != -1 and dv[x] != -1 and du[x] + dv[x] == d:
                     vals[x] += Fraction(su[x] * sv[x], denom)
-    return vals
+    inside = [{p: share[x] for p, share in by_label.items() if share[x]} for x in range(n)]
+    return cross, inside
+
+
+def betweenness_oracle(g: Graph) -> list[Fraction]:
+    """Betweenness by direct per-pair counting (the cross-check route):
+    ``oracle_split`` with every vertex its own label."""
+    return oracle_split(g, range(g.n))[0]
 
 
 class UniformityResult(NamedTuple):

@@ -24,10 +24,10 @@ integers directly.  ``shares_by_part`` is their ``Fraction`` view, one
 candidate per vertex: ``betweenness_by_part`` sums it,
 ``delta_xy``/``delta_extremal`` read it for the leaf-part ratio, and
 ``bugraph decompose`` prints one part's entry.
-``decompose_betweenness`` is only the reference: it computes the same
-split from first principles by classifying every pair contribution on
-the built graph (``blow_up``), so the two routes can be compared
-exactly.
+``decompose_betweenness`` is only the reference: it reads the same
+split off the built graph (``blow_up``) from ``oracle_split``, the
+per-pair counting pass behind ``betweenness_oracle``, with each vertex
+labelled by its part, so the two routes can be compared exactly.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .betweenness import format_rational, shortest_path_data
+from .betweenness import format_rational, oracle_split
 from .graphs import Graph, generate, parse_graph6, serialize_graph6
 
 __all__ = [
@@ -181,9 +181,9 @@ class BlownGraph:
     part_vertices: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def path_data(self) -> tuple[list[list[int]], list[list[int]]]:
-        """``shortest_path_data`` of the blown-up graph, computed once."""
-        return shortest_path_data(self.graph)
+    def pair_split(self) -> tuple[list[Fraction], list[dict[int, Fraction]]]:
+        """``oracle_split`` of the blown-up graph by part, computed once."""
+        return oracle_split(self.graph, self.part_of)
 
 
 def blow_up(spec: BlowupSpec) -> BlownGraph:
@@ -232,56 +232,30 @@ class Decomposition:
 def decompose_betweenness(bg: BlownGraph, v: int) -> Decomposition:
     """Split B(v) into global / own-part / per-neighbor-part shares.
 
-    Computed from scratch by classifying every pair contribution
-    sigma_{x,y}(v) / sigma_{x,y}; neither the spec nor a closed form is
-    consulted.  Keys of ``neighbor_locals`` are the parts of v's
-    neighbors other than its own, in ascending order: v is joined to
-    every vertex of each base-neighbor part and to no other part.  A
-    pair inside any other part can never route through v, which the
-    classification loop enforces.
+    Read from first principles off ``bg.pair_split``, the per-pair
+    oracle pass run once per blow-up with each vertex labelled by its
+    part; neither the spec nor a closed form is consulted.  Keys of
+    ``neighbor_locals`` are the parts of v's neighbors other than its
+    own, in ascending order: v is joined to every vertex of each
+    base-neighbor part and to no other part.  A pair inside any other
+    part can never route through v; one that does raises
+    ``AssertionError``.
     """
     g = bg.graph
-    n = g.n
-    if not (0 <= v < n):
+    if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
-    part_of = bg.part_of
-    pv = part_of[v]
-    dist, sigma = bg.path_data
-    glob = Fraction(0)
-    own = Fraction(0)
-    nbr_parts = {part_of[w] for w in g.adjacency[v]} - {pv}
-    nbr: dict[int, Fraction] = {j: Fraction(0) for j in sorted(nbr_parts)}
-    dv = dist[v]
-    sv = sigma[v]
-    for x in range(n):
-        if x == v or dv[x] == -1:
-            continue
-        dx = dist[x]
-        sx = sigma[x]
-        for y in range(x + 1, n):
-            if y == v:
-                continue
-            d = dx[y]
-            if d < 2 or dv[y] == -1 or dx[v] + dv[y] != d:
-                continue
-            count = sx[v] * sv[y]
-            if count == 0:
-                continue
-            c = Fraction(count, sx[y])
-            px = part_of[x]
-            py = part_of[y]
-            if px != py:
-                glob += c
-            elif px == pv:
-                own += c
-            else:
-                if px not in nbr:
-                    raise AssertionError(
-                        f"pair inside part {px} routed through part {pv}, "
-                        "which is not a base neighbor"
-                    )
-                nbr[px] += c
-    return Decomposition(vertex=v, global_part=glob, own_local=own, neighbor_locals=nbr)
+    pv = bg.part_of[v]
+    cross, inside = bg.pair_split
+    shares = dict(inside[v])
+    own = shares.pop(pv, Fraction(0))
+    nbr_parts = sorted({bg.part_of[w] for w in g.adjacency[v]} - {pv})
+    nbr = {j: shares.pop(j, Fraction(0)) for j in nbr_parts}
+    if shares:
+        raise AssertionError(
+            f"pair inside part {min(shares)} routed through part {pv}, "
+            "which is not a base neighbor"
+        )
+    return Decomposition(vertex=v, global_part=cross[v], own_local=own, neighbor_locals=nbr)
 
 
 def _common_neighbors(h: Graph) -> Iterator[tuple[int, int]]:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bugraph.betweenness import (
     _twin_classes,
@@ -14,6 +15,7 @@ from bugraph.betweenness import (
     betweenness_oracle,
     format_rational,
     is_betweenness_uniform,
+    oracle_split,
     profile_json,
     profile_uniformity,
     shortest_path_data,
@@ -43,6 +45,15 @@ class TestAgreement:
     @settings(max_examples=60)
     def test_exact_equals_oracle_random(self, g):
         assert betweenness_exact(g) == betweenness_oracle(g)
+
+    @given(graphs(min_n=1, max_n=7), st.data())
+    @settings(max_examples=60)
+    def test_split_sums_to_oracle(self, g, data):
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+        cross, inside = oracle_split(g, labels)
+        for v, value in enumerate(betweenness_oracle(g)):
+            assert cross[v] + sum(inside[v].values()) == value
+            assert all(labels.count(p) >= 2 for p in inside[v])
 
 
 def _disjoint_union(*parts: Graph) -> Graph:

@@ -13,6 +13,7 @@ import bugraph.blowup
 import bugraph.graphs
 from bugraph.betweenness import betweenness_exact
 from bugraph.blowup import (
+    BlownGraph,
     BlowupSpec,
     DeltaResult,
     DeltaUndefinedError,
@@ -278,16 +279,16 @@ class TestDecomposition:
                     # the oracle reads the neighbor parts off the built graph
                     assert list(dec.neighbor_locals) == sorted(spec.base.adjacency[pi])
 
-    def test_path_data_computed_once_per_blowup(self, monkeypatch):
-        # decomposing every vertex reads one all-pairs computation
+    def test_pair_split_computed_once_per_blowup(self, monkeypatch):
+        # decomposing every vertex reads one per-pair oracle pass
         calls = []
-        spd = bugraph.blowup.shortest_path_data
+        split = bugraph.blowup.oracle_split
 
-        def counting_spd(g):
+        def counting_split(g, part_of):
             calls.append(g)
-            return spd(g)
+            return split(g, part_of)
 
-        monkeypatch.setattr(bugraph.blowup, "shortest_path_data", counting_spd)
+        monkeypatch.setattr(bugraph.blowup, "oracle_split", counting_split)
         spec = BlowupSpec(
             base=generate("path", 4),
             parts=tuple(PartDescriptor.independent(2) for _ in range(4)),
@@ -295,7 +296,20 @@ class TestDecomposition:
         bg = blow_up(spec)
         for v in range(bg.graph.n):
             decompose_betweenness(bg, v)
+        assert bg.graph.n == 8
         assert len(calls) == 1
+
+    def test_pair_inside_a_non_neighbor_part_is_rejected(self):
+        # path 0-1-2-3-4 with parts {0, 4}, {1, 3}, {2}: the pair 0, 4 of
+        # part 0 routes through vertex 2, whose part has no edge to part 0
+        g = generate("path", 5)
+        bg = BlownGraph(graph=g, part_of=(0, 1, 2, 1, 0), part_vertices=((0, 4), (1, 3), (2,)))
+        with pytest.raises(AssertionError, match="pair inside part 0 routed through part 2"):
+            decompose_betweenness(bg, 2)
+        # vertex 1 neighbors part 0, so the same pair is a neighbor share
+        dec = decompose_betweenness(bg, 1)
+        assert dec.neighbor_locals == {0: Fraction(1), 2: Fraction(0)}
+        assert dec.total() == betweenness_exact(g)[1]
 
     def test_pair_loop_runs_once_per_explicit_part(self, monkeypatch):
         # each part's pairs feed its neighbor share and its own share
