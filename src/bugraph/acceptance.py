@@ -10,6 +10,8 @@ the integer inequality chain and an exhausted empty search), the
 tree sweeps, and a cut-vertex exploration.  A registry collects every
 betweenness-uniform graph the run produces and every claimed-empty
 search so the final sanity check can audit them in one place.
+It also holds the one corpus pass that criteria 6 and 7 share, built
+afresh by each ``run_suite`` when the first of the two runs.
 
 ``level`` widens the path-4 search budget: "quick" scans part sizes up
 to 4, "full" up to 6.  Results are deterministic for either level and
@@ -22,6 +24,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .betweenness import (
@@ -85,10 +88,15 @@ class CriterionResult:
 
 @dataclass
 class _Registry:
-    """Everything later audited by the sanity criterion."""
+    """Everything later audited by the sanity criterion, and the corpus
+    pass that criteria 6 and 7 share, built by whichever runs first."""
 
     uniform_graphs: dict[Graph, str] = field(default_factory=dict)  # graph -> source
     empty_claims: list[tuple[str, SearchReport]] = field(default_factory=list)
+
+    @cached_property
+    def corpus_verdicts(self) -> tuple[tuple[bool, str], tuple[bool, str]]:
+        return _corpus_pass()
 
     def add_uniform(self, g: Graph, source: str) -> None:
         # only connected graphs enter: the two-connectivity fact is about
@@ -208,47 +216,66 @@ def _corpus_specs() -> list[BlowupSpec]:
     return specs
 
 
-def _c6_decomposition(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
+def _corpus_pass() -> tuple[tuple[bool, str], tuple[bool, str]]:
+    """The verdicts of criteria 6 and 7, from one pass over the corpus.
+
+    Per spec: one ``blow_up``, one exact profile, one ``shares_by_part``
+    and one ``decompose_betweenness`` per vertex, read by both checks.
+    Each check keeps its first failure and stops counting there; the
+    pass stops once both have failed.  An exception inside the pass is
+    not cached, so each criterion reports it as its own crash.
+    """
+    c6 = c7 = None  # first failure message of each
     vertices = 0
-    for spec in _corpus_specs():
-        bg = blow_up(spec)
-        profile = betweenness_exact(bg.graph)
-        if [v for values in betweenness_by_part(spec) for v in values] != profile:
-            return False, f"part-by-part values differ from the exact profile of {spec.label()}"
-        for v in range(bg.graph.n):
-            dec = decompose_betweenness(bg, v)
-            if dec.total() != profile[v]:
-                return False, f"decomposition mismatch at vertex {v} of {spec.label()}"
-            vertices += 1
-    return True, (
-        f"identity and part-by-part values exact at all {vertices} vertices "
-        f"of {_CORPUS_SIZE} random specs"
-    )
-
-
-def _c7_closed_forms(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
     checked = {"global": 0, "neighbor": 0, "own": 0}
     for spec in _corpus_specs():
         bg = blow_up(spec)
-        for k, (glob, nbr, own) in enumerate(shares_by_part(spec)):
-            for i, v in enumerate(bg.part_vertices[k]):
-                dec = decompose_betweenness(bg, v)
+        profile = betweenness_exact(bg.graph)
+        shares = list(shares_by_part(spec))
+        if c6 is None:
+            values = [v for vals in betweenness_by_part(spec, shares) for v in vals]
+            if values != profile:
+                c6 = f"part-by-part values differ from the exact profile of {spec.label()}"
+        for v in range(bg.graph.n):
+            dec = decompose_betweenness(bg, v)
+            if c6 is None:
+                if dec.total() != profile[v]:
+                    c6 = f"decomposition mismatch at vertex {v} of {spec.label()}"
+                else:
+                    vertices += 1
+            if c7 is None:
+                k = bg.part_of[v]
+                glob, nbr, own = shares[k]
+                i = v - bg.part_vertices[k][0]
                 for share, got, want in (
                     ("global", glob, dec.global_part),
                     ("neighbor", nbr, dec.neighbor_locals),
                     ("own", own[i] if own else 0, dec.own_local),
                 ):
                     if got != want:
-                        return False, (
-                            f"{share} share of part {k} of {spec.label()} "
-                            f"disagrees at vertex {v}"
-                        )
+                        c7 = f"{share} share of part {k} of {spec.label()} disagrees at vertex {v}"
+                        break
                     checked[share] += 1
-    return True, (
+        if c6 is not None and c7 is not None:
+            break
+    c6_pass = True, (
+        f"identity and part-by-part values exact at all {vertices} vertices "
+        f"of {_CORPUS_SIZE} random specs"
+    )
+    c7_pass = True, (
         f"global share at {checked['global']}, neighbor shares at "
         f"{checked['neighbor']} and own share at {checked['own']} vertices "
         f"of {_CORPUS_SIZE} random specs all exact"
     )
+    return ((False, c6) if c6 else c6_pass), ((False, c7) if c7 else c7_pass)
+
+
+def _c6_decomposition(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
+    return reg.corpus_verdicts[0]
+
+
+def _c7_closed_forms(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
+    return reg.corpus_verdicts[1]
 
 
 def _c8_lemmas(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:

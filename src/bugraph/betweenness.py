@@ -20,9 +20,11 @@ Two algorithms are provided on purpose:
   lcm of its geodesic counts, all sources share one running
   denominator, and each distinct value becomes a single ``Fraction``
   at the end.
-* ``betweenness_oracle`` - per-pair path counting over ``Fraction``
-  on the graph itself: sigma_{u,v}(x) = sigma(u,x) * sigma(x,v)
-  whenever x sits on a u,v-geodesic.
+* ``betweenness_oracle`` - per-pair path counting on the graph
+  itself: sigma_{u,v}(x) = sigma(u,x) * sigma(x,v) whenever x sits on
+  a u,v-geodesic.  These integers are summed per geodesic count
+  sigma(u,v), and each vertex's sums become one ``Fraction`` at the
+  end.
 
 The oracle's per-pair loop lives in ``oracle_split(g, part_of)``: for
 any vertex labels it returns each vertex's share from pairs with
@@ -216,11 +218,17 @@ def oracle_split(g: Graph, part_of) -> tuple[list[Fraction], list[dict]]:
     endpoints carry different labels, and ``inside[x]`` maps a label p
     to the share from pairs inside p, listing only the labels that have
     a pair with a geodesic through x.
+
+    A pair u, v adds the integer sigma(u,x) * sigma(x,v) at each interior
+    vertex x of its geodesics, into the bucket of its target (the cross
+    share or its label) and of its geodesic count sigma(u,v).  Each
+    vertex's buckets of one target become a single ``Fraction`` at the
+    end, over the lcm of their geodesic counts.
     """
     n = g.n
     dist, sigma = shortest_path_data(g)
-    cross = [Fraction(0)] * n
-    by_label: dict = {}  # label -> per-vertex share of pairs inside it
+    cross_acc: dict[int, list[int]] = {}  # sigma(u,v) -> per-vertex numerators
+    by_label: dict = {}  # label -> the same buckets, for pairs inside it
     for u in range(n):
         du = dist[u]
         su = sigma[u]
@@ -229,17 +237,33 @@ def oracle_split(g: Graph, part_of) -> tuple[list[Fraction], list[dict]]:
             d = du[v]
             if d < 2:  # adjacent (1) or unreachable (-1): no interior vertex
                 continue
-            vals = cross if part_of[v] != pu else by_label.setdefault(pu, [0] * n)
+            acc = cross_acc if part_of[v] != pu else by_label.setdefault(pu, {})
+            vals = acc.get(su[v])
+            if vals is None:
+                vals = acc[su[v]] = [0] * n
             dv = dist[v]
             sv = sigma[v]
-            denom = su[v]
             for x in range(n):
                 if x == u or x == v:
                     continue
                 if du[x] != -1 and dv[x] != -1 and du[x] + dv[x] == d:
-                    vals[x] += Fraction(su[x] * sv[x], denom)
-    inside = [{p: share[x] for p, share in by_label.items() if share[x]} for x in range(n)]
+                    vals[x] += su[x] * sv[x]
+    cross = _bucket_sums(cross_acc, n)
+    shares = {p: _bucket_sums(acc, n) for p, acc in by_label.items()}
+    inside = [{p: share[x] for p, share in shares.items() if share[x]} for x in range(n)]
     return cross, inside
+
+
+def _bucket_sums(acc: dict[int, list[int]], n: int) -> list[Fraction]:
+    # sum over geodesic counts s of acc[s][x] / s for each vertex x;
+    # equal sums share one Fraction
+    den = lcm(*acc)
+    nums = [0] * n
+    for s, vals in acc.items():
+        k = den // s
+        nums = [a + k * b for a, b in zip(nums, vals)]
+    values = {a: Fraction(a, den) for a in set(nums)}
+    return [values[a] for a in nums]
 
 
 def betweenness_oracle(g: Graph) -> list[Fraction]:

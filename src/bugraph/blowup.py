@@ -20,9 +20,10 @@ pass through it.  Given candidate parts of one size per base vertex,
 ``GeodesicPlan.numerators`` returns one common denominator d and the
 integer numerators over d of every part's global share and of each
 candidate's shares inside parts.  The search screen compares these
-integers directly.  ``shares_by_part`` is their ``Fraction`` view, one
-candidate per vertex: ``betweenness_by_part`` sums it,
-``delta_xy``/``delta_extremal`` read it for the leaf-part ratio, and
+integers directly, and so do ``delta_xy``/``delta_extremal``, with one
+candidate per vertex, for the leaf-part ratio: d cancels, so the ratio
+is one ``Fraction`` of two integer sums.  ``shares_by_part`` is the
+``Fraction`` view of the same call: ``betweenness_by_part`` sums it and
 ``bugraph decompose`` prints one part's entry.
 ``decompose_betweenness`` is only the reference: it reads the same
 split off the built graph (``blow_up``) from ``oracle_split``, the
@@ -370,6 +371,14 @@ def _local_numerators(slot, mass: int, d: int) -> list[tuple[int, tuple[int, ...
     return out
 
 
+def _spec_numerators(spec: BlowupSpec) -> tuple[int, list[int], list[tuple]]:
+    """``GeodesicPlan.numerators`` with the spec's parts as the only
+    candidates: d, the global numerators, and each part's (neighbor
+    numerator, own numerators or None)."""
+    d, glob, local = geodesic_plan(spec.base).numerators([(p,) for p in spec.parts])
+    return d, glob, [slot[0] for slot in local]
+
+
 def shares_by_part(
     spec: BlowupSpec,
 ) -> Iterator[tuple[Fraction, dict[int, Fraction], tuple[Fraction, ...] | None]]:
@@ -401,8 +410,7 @@ def shares_by_part(
     the sizes of I and K parts; the pairs inside each explicit part are
     listed once per descriptor, for its neighbor and own shares alike.
     """
-    d, glob, local = geodesic_plan(spec.base).numerators([(p,) for p in spec.parts])
-    local = [slot[0] for slot in local]
+    d, glob, local = _spec_numerators(spec)
     for k, nbrs in enumerate(spec.base.adjacency):
         own = local[k][1]
         yield (
@@ -412,14 +420,17 @@ def shares_by_part(
         )
 
 
-def betweenness_by_part(spec: BlowupSpec) -> Iterator[tuple[Fraction, ...]]:
+def betweenness_by_part(spec: BlowupSpec, shares=None) -> Iterator[tuple[Fraction, ...]]:
     """Exact betweenness of the blow-up, part by part, without building it.
 
     Yields one tuple per base vertex k: the values of part k's vertices
     in ``blow_up`` order, each the sum of the three shares that
-    ``shares_by_part`` gives.  Lazy like it.
+    ``shares_by_part`` gives.  ``shares`` takes those triples when the
+    caller already holds them; by default they are computed, lazily.
     """
-    for part, (glob, nbr, own) in zip(spec.parts, shares_by_part(spec)):
+    if shares is None:
+        shares = shares_by_part(spec)
+    for part, (glob, nbr, own) in zip(spec.parts, shares):
         value = sum(nbr.values(), glob)
         yield (value,) * part.size if own is None else tuple(value + o for o in own)
 
@@ -452,22 +463,23 @@ def _leaf_neighbor(spec: BlowupSpec, leaf_part: int) -> int:
     return nbrs[0]
 
 
-def _delta(spec: BlowupSpec, shares, x: int, y: int) -> Fraction:
+def _delta(spec: BlowupSpec, glob, local, x: int, y: int) -> Fraction:
+    # glob and local from _spec_numerators(spec); their denominator cancels
     px, ix = _locate(spec, x)
     py, iy = _locate(spec, y)
     if _leaf_neighbor(spec, px) != py:
         raise ValueError(f"y must sit in the unique base neighbor of part {px}")
-    _, nbr_x, own_x = shares[px]
-    glob_y, nbr_y, own_y = shares[py]
-    own_x = own_x[ix] if own_x else 0
-    own_y = own_y[iy] if own_y else 0
-    numer = nbr_x[py] - own_y
-    denom = glob_y + (nbr_y[px] - own_x) + sum(v for j, v in nbr_y.items() if j != px)
+    # local[j][0]: what the pairs inside part j give each neighbor-part vertex
+    pairs_x, own_x = local[px]
+    pairs_y, own_y = local[py]
+    numer = pairs_y - (own_y[iy] if own_y else 0)
+    denom = glob[py] + pairs_x - (own_x[ix] if own_x else 0)
+    denom += sum(local[j][0] for j in spec.base.adjacency[py] if j != px)
     if denom == 0:
         raise DeltaUndefinedError(
             f"denominator of the x/y betweenness ratio vanished (x={x}, y={y})"
         )
-    return numer / denom
+    return Fraction(numer, denom)
 
 
 def delta_xy(spec: BlowupSpec, x: int, y: int) -> Fraction:
@@ -476,12 +488,14 @@ def delta_xy(spec: BlowupSpec, x: int, y: int) -> Fraction:
     x lives in a leaf part, y in that leaf's unique neighbor part;
     both are numbered as in ``blow_up``.  The ratio is (B_own(x)-share
     y lacks) over (everything B(y) has that B(x) lacks); it equals 1
-    exactly when B(x) = B(y), and is < 1 when B(x) < B(y).  The shares
-    come from ``shares_by_part``.  Raises DeltaUndefinedError when the
-    denominator is 0, which happens for degenerate bases like a single
-    edge.
+    exactly when B(x) = B(y), and is < 1 when B(x) < B(y).  Numerator
+    and denominator are sums of the integer numerators of
+    ``GeodesicPlan.numerators`` over one common denominator, which
+    cancels.  Raises DeltaUndefinedError when the denominator is 0,
+    which happens for degenerate bases like a single edge.
     """
-    return _delta(spec, list(shares_by_part(spec)), x, y)
+    _, glob, local = _spec_numerators(spec)
+    return _delta(spec, glob, local, x, y)
 
 
 def delta_extremal(spec: BlowupSpec, *, leaf_part: int = 0) -> DeltaResult:
@@ -489,14 +503,14 @@ def delta_extremal(spec: BlowupSpec, *, leaf_part: int = 0) -> DeltaResult:
     leaf part, y minimizes it over the neighbor part (lowest index on
     ties).  Inside a part only the own share varies, so it decides."""
     py = _leaf_neighbor(spec, leaf_part)
-    shares = list(shares_by_part(spec))
-    own_x, own_y = shares[leaf_part][2], shares[py][2]
+    _, glob, local = _spec_numerators(spec)
+    own_x, own_y = local[leaf_part][1], local[py][1]
     # max and min return the first extremum, which is the lowest index
     ix = max(range(len(own_x)), key=own_x.__getitem__) if own_x else 0
     iy = min(range(len(own_y)), key=own_y.__getitem__) if own_y else 0
     x = sum(p.size for p in spec.parts[:leaf_part]) + ix
     y = sum(p.size for p in spec.parts[:py]) + iy
-    return DeltaResult(value=_delta(spec, shares, x, y), x=x, y=y)
+    return DeltaResult(value=_delta(spec, glob, local, x, y), x=x, y=y)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,15 @@ from __future__ import annotations
 
 import pytest
 
-from bugraph.acceptance import CRITERIA, run_suite
+import bugraph.acceptance as acceptance
+from bugraph.acceptance import CRITERIA, _corpus_specs, _Registry, run_suite
+from bugraph.blowup import blow_up
+
+C6_PASS = "identity and part-by-part values exact at all 1948 vertices of 200 random specs"
+C7_PASS = (
+    "global share at 1948, neighbor shares at 1948 and own share at 1948 "
+    "vertices of 200 random specs all exact"
+)
 
 
 @pytest.fixture(scope="module")
@@ -26,3 +34,98 @@ def test_criterion(results, number, capsys):
 
 def test_every_criterion_has_a_result(results):
     assert sorted(results) == [c[0] for c in CRITERIA]
+
+
+def test_corpus_and_lemma_details(results):
+    assert results[6].detail == C6_PASS
+    assert results[7].detail == C7_PASS
+    assert results[8].detail == (
+        "both extremal-part lemmas hold for m <= 4 over the full 27-point grids"
+    )
+
+
+def _corpus_criteria() -> tuple[tuple[bool, str], tuple[bool, str]]:
+    # criteria 6 and 7 as run_suite calls them, on one fresh registry
+    by_number = {number: fn for number, _, fn in CRITERIA}
+    reg = _Registry()
+    return by_number[6](reg, "full", 1), by_number[7](reg, "full", 1)
+
+
+class TestCorpusPass:
+    """Criteria 6 and 7 read one corpus pass, yet each keeps its own
+    verdict: a fault that only one of them checks fails that one alone."""
+
+    SPEC = _corpus_specs()[3]
+
+    def _bump_profile(self, monkeypatch, v: int) -> None:
+        # the exact profile of SPEC's blow-up gains 1 at vertex v
+        target = blow_up(self.SPEC).graph
+        exact = acceptance.betweenness_exact
+
+        def bumped(g):
+            profile = exact(g)
+            if g == target:
+                profile[v] += 1
+            return profile
+
+        monkeypatch.setattr(acceptance, "betweenness_exact", bumped)
+
+    def test_shifted_share_fails_only_criterion_7(self, monkeypatch):
+        # move 1 from a neighbor share to the global share of part 0: the
+        # sums stay right, the split does not
+        shares_by_part = acceptance.shares_by_part
+
+        def shifted(spec):
+            for k, (glob, nbr, own) in enumerate(shares_by_part(spec)):
+                if spec == self.SPEC and k == 0:
+                    j = min(nbr)
+                    glob, nbr = glob + 1, {**nbr, j: nbr[j] - 1}
+                yield glob, nbr, own
+
+        monkeypatch.setattr(acceptance, "shares_by_part", shifted)
+        c6, c7 = _corpus_criteria()
+        assert c6 == (True, C6_PASS)
+        assert c7 == (False, f"global share of part 0 of {self.SPEC.label()} disagrees at vertex 0")
+
+    def test_wrong_profile_fails_only_criterion_6(self, monkeypatch):
+        self._bump_profile(monkeypatch, 0)
+        c6, c7 = _corpus_criteria()
+        assert c6 == (
+            False,
+            f"part-by-part values differ from the exact profile of {self.SPEC.label()}",
+        )
+        assert c7 == (True, C7_PASS)
+
+    def test_decomposition_mismatch_fails_only_criterion_6(self, monkeypatch):
+        # the part-by-part values follow the bumped profile, so the
+        # decomposition identity is the first check to see it
+        v = 2
+        self._bump_profile(monkeypatch, v)
+        by_part = acceptance.betweenness_by_part
+
+        def following(spec, shares=None):
+            offset = 0
+            for values in by_part(spec, shares):
+                if spec == self.SPEC and offset <= v < offset + len(values):
+                    values = tuple(x + (i == v - offset) for i, x in enumerate(values))
+                offset += len(values)
+                yield values
+
+        monkeypatch.setattr(acceptance, "betweenness_by_part", following)
+        c6, c7 = _corpus_criteria()
+        assert c6 == (False, f"decomposition mismatch at vertex {v} of {self.SPEC.label()}")
+        assert c7 == (True, C7_PASS)
+
+    def test_each_run_recomputes_the_pass(self, monkeypatch):
+        calls = []
+        real = acceptance.blow_up
+        monkeypatch.setattr(acceptance, "blow_up", lambda spec: calls.append(spec) or real(spec))
+        monkeypatch.setattr(acceptance, "CRITERIA", [c for c in CRITERIA if c[0] in (6, 7)])
+        for run in (1, 2):
+            results = run_suite(level="quick", out=None)
+            assert [(r.number, r.passed, r.detail) for r in results] == [
+                (6, True, C6_PASS),
+                (7, True, C7_PASS),
+            ]
+            # one blow-up per corpus spec per run, shared by both criteria
+            assert len(calls) == 200 * run

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bugraph.acceptance import _corpus_specs
 from bugraph.betweenness import (
     _twin_classes,
     betweenness_exact,
@@ -54,6 +56,70 @@ class TestAgreement:
         for v, value in enumerate(betweenness_oracle(g)):
             assert cross[v] + sum(inside[v].values()) == value
             assert all(labels.count(p) >= 2 for p in inside[v])
+
+
+def _reference_split(g: Graph, part_of) -> tuple[list[Fraction], list[dict]]:
+    """``oracle_split`` as a plain per-pair loop that adds one ``Fraction``
+    per pair and interior vertex, with geodesic counts from ``g.distances``."""
+    n, dist, adj = g.n, g.distances, g.adjacency
+    sigma = [[0] * n for _ in range(n)]
+    for u in range(n):
+        sigma[u][u] = 1
+        for v in sorted((v for v in range(n) if dist[u][v] > 0), key=dist[u].__getitem__):
+            sigma[u][v] = sum(sigma[u][w] for w in adj[v] if dist[u][w] == dist[u][v] - 1)
+    cross = [Fraction(0)] * n
+    by_label: dict = {}
+    for u, v in combinations(range(n), 2):
+        d = dist[u][v]
+        if d < 2:
+            continue
+        vals = cross if part_of[u] != part_of[v] else by_label.setdefault(part_of[u], [0] * n)
+        for x in range(n):
+            if x not in (u, v) and -1 not in (dist[u][x], dist[x][v]):
+                if dist[u][x] + dist[x][v] == d:
+                    vals[x] += Fraction(sigma[u][x] * sigma[x][v], sigma[u][v])
+    inside = [{p: share[x] for p, share in by_label.items() if share[x]} for x in range(n)]
+    return cross, inside
+
+
+def _typed(split):
+    # values with their types, and each inside dict's keys in order
+    cross, inside = split
+    return (
+        [(type(v), v) for v in cross],
+        [[(p, type(v), v) for p, v in shares.items()] for shares in inside],
+    )
+
+
+class TestOracleReference:
+    """``oracle_split`` sums integers per geodesic count and builds its
+    ``Fraction``s at the end; a plain ``Fraction`` loop must give the same
+    values, types and key order."""
+
+    def test_all_small_classes(self):
+        rng = random.Random(20261018)
+        for g in (g for n in range(7) for g in enumerate_graphs(n)):
+            for labels in (range(g.n), [rng.randrange(3) for _ in range(g.n)]):
+                assert _typed(oracle_split(g, labels)) == _typed(_reference_split(g, labels))
+            assert betweenness_oracle(g) == _reference_split(g, range(g.n))[0]
+
+    def test_disconnected_graphs(self):
+        rng = random.Random(1018)
+        seen = 0
+        for _ in range(40):
+            n = rng.randint(4, 10)
+            edges = tuple(p for p in combinations(range(n), 2) if rng.random() < 0.25)
+            g = Graph(n, edges)
+            seen += not is_connected(g)
+            labels = [rng.randrange(4) for _ in range(n)]
+            assert _typed(oracle_split(g, labels)) == _typed(_reference_split(g, labels))
+        assert seen >= 20
+
+    def test_corpus_blowups_by_part(self):
+        for spec in _corpus_specs():
+            bg = blow_up(spec)
+            want = _typed(_reference_split(bg.graph, bg.part_of))
+            assert _typed(bg.pair_split) == want
 
 
 def _disjoint_union(*parts: Graph) -> Graph:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -444,6 +445,35 @@ def _assert_matches_reference(spec: BlowupSpec, leaf_part: int = 0) -> None:
     assert delta_xy(spec, want.x, want.y) == want.value
 
 
+def _lemma_specs():
+    """Every spec of the extremal-part lemmas: m <= 4 on both grids."""
+    base = generate("path", 4)
+    for h in (h for m in range(1, 5) for h in enumerate_graphs(m)):
+        cand = PartDescriptor.for_graph(h)
+        for a, c, d in product((1, 2, 3), repeat=3):
+            yield BlowupSpec(base=base, parts=(
+                PartDescriptor.clique(a), cand,
+                PartDescriptor.independent(c), PartDescriptor.clique(d),
+            ))
+            yield BlowupSpec(base=base, parts=(
+                cand, PartDescriptor.independent(a),
+                PartDescriptor.independent(c), PartDescriptor.clique(d),
+            ))
+
+
+def _fraction_delta(spec: BlowupSpec, shares, x: int, y: int) -> Fraction:
+    """The leaf-part ratio summed from the ``Fraction`` shares of
+    ``shares_by_part``, for x in part 0 and y in part 1."""
+    ix, iy = x, y - spec.parts[0].size
+    _, nbr_x, own_x = shares[0]
+    glob_y, nbr_y, own_y = shares[1]
+    own_x = own_x[ix] if own_x else 0
+    own_y = own_y[iy] if own_y else 0
+    numer = nbr_x[1] - own_y
+    denom = glob_y + (nbr_y[0] - own_x) + sum(v for j, v in nbr_y.items() if j != 0)
+    return numer / denom
+
+
 class TestDelta:
     def test_equals_one_iff_profiles_match(self):
         uniform_spec = BlowupSpec(
@@ -516,21 +546,47 @@ class TestDelta:
                 delta_xy(spec, x, y)
 
     def test_lemma_specs_match_reference(self):
-        # every spec of the extremal-part lemmas: m <= 4 on both grids
-        base = generate("path", 4)
         cases = 0
-        for h in (h for m in range(1, 5) for h in enumerate_graphs(m)):
-            cand = PartDescriptor.for_graph(h)
-            for a, c, d in product((1, 2, 3), repeat=3):
-                for parts in (
-                    (PartDescriptor.clique(a), cand,
-                     PartDescriptor.independent(c), PartDescriptor.clique(d)),
-                    (cand, PartDescriptor.independent(a),
-                     PartDescriptor.independent(c), PartDescriptor.clique(d)),
-                ):
-                    _assert_matches_reference(BlowupSpec(base=base, parts=parts))
-                    cases += 1
+        for spec in _lemma_specs():
+            _assert_matches_reference(spec)
+            cases += 1
         assert cases == 972
+
+    def test_lemma_specs_match_fraction_shares(self):
+        # the integer ratio against the same formula over the Fraction
+        # shares, at the extremal pair and at every other leaf-part pair
+        cases = others = 0
+        for spec in _lemma_specs():
+            shares = list(shares_by_part(spec))
+            res = delta_extremal(spec)
+            own_x, own_y = shares[0][2], shares[1][2]
+            ix = max(range(len(own_x)), key=own_x.__getitem__) if own_x else 0
+            iy = min(range(len(own_y)), key=own_y.__getitem__) if own_y else 0
+            y0 = spec.parts[0].size
+            assert (res.x, res.y) == (ix, y0 + iy)
+            assert res.value == _fraction_delta(spec, shares, res.x, res.y)
+            assert type(res.value) is Fraction
+            for x, y in product(range(y0), range(y0, y0 + spec.parts[1].size)):
+                if (x, y) != (res.x, res.y):
+                    value = delta_xy(spec, x, y)
+                    assert value == _fraction_delta(spec, shares, x, y)
+                    assert type(value) is Fraction
+                    others += 1
+            cases += 1
+        assert cases == 972
+        assert others > 972
+
+    def test_undefined_message_on_edge_base(self):
+        spec = BlowupSpec(
+            base=generate("path", 2),
+            parts=(PartDescriptor.clique(2), PartDescriptor.independent(3)),
+        )
+        msg = "denominator of the x/y betweenness ratio vanished (x=0, y=2)"
+        with pytest.raises(DeltaUndefinedError, match=re.escape(msg)):
+            delta_extremal(spec)
+        msg = "denominator of the x/y betweenness ratio vanished (x=1, y=4)"
+        with pytest.raises(DeltaUndefinedError, match=re.escape(msg)):
+            delta_xy(spec, 1, 4)
 
     @given(blowup_specs(max_base=5, trees=True))
     @settings(max_examples=60, deadline=None)
