@@ -166,14 +166,10 @@ def diameter(g: Graph) -> int:
     """Largest pairwise distance.  Disconnected input is an error."""
     if g.n == 0:
         raise ValueError("diameter of the empty graph is undefined")
-    best = 0
-    for s in range(g.n):
-        dist = bfs_distances(g, s)
-        m = max(dist)
-        if -1 in dist:
-            raise ValueError("diameter undefined for disconnected graph")
-        best = max(best, m)
-    return best
+    dist = g.distances
+    if -1 in dist[0]:
+        raise ValueError("diameter undefined for disconnected graph")
+    return max(map(max, dist))
 
 
 def is_tree(g: Graph) -> bool:

@@ -11,17 +11,17 @@ candidate's numerators of the shares inside parts.  The blow-up is
 uniform iff every vertex gets the same numerator; the screen stops at
 the first part that differs.
 
-A scan task walks its range of assignment indices with an
-``itertools.product`` odometer, last base vertex fastest.  That call's
-result, reduced to what the screen compares, is memoised per size
-tuple within one scan task: I_m and K_m candidates, and all explicit
-classes of one size, share it, so the plan runs once per size tuple
-rather than once per assignment.
+A scan task walks a range of size tuples in ``itertools.product``
+order, makes that one call per size tuple, and screens every
+assignment of the tuple's candidates, so I_m and K_m candidates, and
+all explicit classes of one size, share one plan run.  Each hit carries
+its index in the ``itertools.product`` order of whole assignments, last
+base vertex fastest, and the search sorts the hits by it.
 The work per assignment does not grow with part sizes.  A serial
-search is one scan task run inline; a parallel one splits the space
-into tasks for a process pool.  Every positive is then re-verified
-twice over, with the two independent betweenness algorithms on the
-built graph, before it is reported.
+search is one scan task run inline; a parallel one splits the size
+tuples into tasks for a process pool.  Every positive is then
+re-verified twice over, with the two independent betweenness
+algorithms on the built graph, before it is reported.
 
 Pruning: a size-1 part on a base *cut vertex* leaves a cut vertex in
 the blown-up graph, and no uniform graph on three or more vertices has
@@ -45,7 +45,6 @@ from math import inf, prod
 from .betweenness import betweenness_exact, betweenness_oracle, profile_uniformity
 from .blowup import (
     BlowupSpec,
-    GeodesicPlan,
     PartDescriptor,
     blow_up,
     delta_extremal,
@@ -157,89 +156,65 @@ def _verify_hit(spec: BlowupSpec) -> None:
         raise RuntimeError(f"betweenness algorithms disagree on {spec.label()}")
 
 
-def _size_entry(plan: GeodesicPlan, slots, sizes) -> tuple[list[int], list[tuple]]:
-    """What the screen needs of one size tuple, for every candidate kind.
-
-    ``slots[j][s]`` lists the candidates of size s of base vertex j.
-    Returns the global numerators and, per base vertex j, a flat tuple
-    holding, for each candidate of size ``sizes[j]`` in turn, its
-    neighbor numerator and the own numerator that every vertex of the
-    part shares, or None when the part's own shares differ.
-    """
-    _, glob, local = plan.numerators([slot[s] for slot, s in zip(slots, sizes)])
-    rows = []
-    for cands in local:
-        row = []
-        for nbr, own in cands:
-            row += (nbr, 0 if own is None else own[0] if len(set(own)) == 1 else None)
-        rows.append(tuple(row))
-    return glob, rows
-
-
 def _scan_task(args) -> tuple[int, list[tuple[int, tuple[PartDescriptor, ...]]], bool]:
-    """Screen the assignments with indices lo..hi-1.
+    """Screen the size tuples with indices lo..hi-1.
 
-    Assignments are numbered in ``itertools.product`` order over
-    ``cand_lists``.  One is uniform iff every vertex of its blow-up gets
-    the same numerator over its size tuple's common denominator; the
-    size-only data is computed once per size tuple.
+    Size tuples are numbered in ``itertools.product`` order over each
+    base vertex's candidate sizes, in order of first appearance in
+    ``cand_lists``.  Each tuple gets one ``numerators`` call, and every
+    assignment of its candidates is screened: it is uniform iff every
+    vertex of its blow-up gets the same numerator over the tuple's
+    common denominator.  A hit carries its assignment's index in
+    ``itertools.product`` order over ``cand_lists``.
     """
     base, cand_lists, lo, hi, max_total, deadline = args
     plan = geodesic_plan(base)
     adj = base.adjacency
+    # slots[j][s]: vertex j's candidates of size s, each with its
+    # index in cand_lists[j] times the stride of vertex j
     slots = []
-    # where[j][ci]: the offset of candidate ci in vertex j's row of a size entry
-    where = []
-    for cands in cand_lists:
-        slot: dict[int, list[PartDescriptor]] = {}
-        offsets = []
-        for cand in cands:
-            same = slot.setdefault(cand.size, [])
-            offsets.append(2 * len(same))
-            same.append(cand)
+    for j, cands in enumerate(cand_lists):
+        stride = prod(map(len, cand_lists[j + 1 :]))
+        slot: dict[int, list[tuple[int, PartDescriptor]]] = {}
+        for ci, cand in enumerate(cands):
+            slot.setdefault(cand.size, []).append((ci * stride, cand))
         slots.append(slot)
-        where.append(offsets)
-    memo: dict[tuple[int, ...], tuple[list[int], list[tuple]]] = {}
-    odometer = zip(
-        product(*cand_lists),
-        product(*([c.size for c in cands] for cands in cand_lists)),
-        product(*where),
-    )
     examined = 0
     found: list[tuple[int, tuple[PartDescriptor, ...]]] = []
-    completed = True
-    for idx, (parts, sizes, offsets) in enumerate(islice(odometer, lo, hi), lo):
-        if deadline is not None and time.monotonic() > deadline:
-            completed = False
-            break
+    for sizes in islice(product(*slots), lo, hi):
         if max_total is not None and sum(sizes) > max_total:
             continue
-        examined += 1
-        entry = memo.get(sizes)
-        if entry is None:
-            # Candidate lists run in order of size, so once the first
-            # part's size moves on, no stored size tuple comes back (one
-            # that did would only be recomputed); this keeps the memo to
-            # the size tuples of one first size.
-            if memo and sizes[0] != next(iter(memo))[0]:
-                memo.clear()
-            entry = memo[sizes] = _size_entry(plan, slots, sizes)
-        glob, rows = entry
-        common = None
-        for k, value in enumerate(glob):
-            own = rows[k][offsets[k] + 1]
-            if own is None:
-                break
-            value += own
-            for j in adj[k]:
-                value += rows[j][offsets[j]]
-            if common is None:
-                common = value
-            elif value != common:
-                break
-        else:
-            found.append((idx, parts))
-    return examined, found, completed
+        groups = [slot[s] for slot, s in zip(slots, sizes)]
+        _, glob, local = plan.numerators([[cand for _, cand in g] for g in groups])
+        # per candidate: neighbor numerator, the own numerator every
+        # vertex of the part shares (None when they differ), its
+        # offset in the assignment index, and the candidate itself
+        rows = [
+            [
+                (nbr, 0 if own is None else own[0] if len(set(own)) == 1 else None, at, cand)
+                for (at, cand), (nbr, own) in zip(group, cands)
+            ]
+            for group, cands in zip(groups, local)
+        ]
+        for combo in product(*rows):
+            if deadline is not None and time.monotonic() > deadline:
+                return examined, found, False
+            examined += 1
+            common = None
+            for k, value in enumerate(glob):
+                own = combo[k][1]
+                if own is None:
+                    break
+                value += own
+                for j in adj[k]:
+                    value += combo[j][0]
+                if common is None:
+                    common = value
+                elif value != common:
+                    break
+            else:
+                found.append((sum(c[2] for c in combo), tuple(c[3] for c in combo)))
+    return examined, found, True
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +244,18 @@ def search_blowups(
         else:
             cand_lists.append(cands)
     space = prod(len(c) for c in cand_lists)
+    tuples = prod(len({c.size for c in cands}) for cands in cand_lists)
     # CLOCK_MONOTONIC is system-wide, so workers can compare against a
     # deadline taken here, and a wall-clock step cannot move it.
     deadline = time.monotonic() + budget.time_limit if budget.time_limit is not None else None
 
-    # one task run inline, or about eight per worker for a process pool;
-    # an empty space (no candidate fits a cut vertex) still needs a step
-    chunk = max(1, space if jobs <= 1 or space < 256 else -(-space // (jobs * 8)))
+    # one task run inline, or about eight size-tuple ranges per worker
+    # for a process pool; an empty space (no candidate fits a cut
+    # vertex) still needs a step
+    chunk = max(1, tuples if jobs <= 1 or space < 256 else -(-tuples // (jobs * 8)))
     tasks = [
-        (base, cand_lists, lo, min(lo + chunk, space), budget.max_total_vertices, deadline)
-        for lo in range(0, space, chunk)
+        (base, cand_lists, lo, min(lo + chunk, tuples), budget.max_total_vertices, deadline)
+        for lo in range(0, tuples, chunk)
     ]
     if len(tasks) > 1:
         # Imported here: the pool pulls in multiprocessing, which only
@@ -289,9 +266,10 @@ def search_blowups(
             results = list(pool.map(_scan_task, tasks))
     else:
         results = list(map(_scan_task, tasks))
-    # the tasks cover consecutive index ranges and map keeps their order,
-    # so the hits arrive in assignment order
-    found = [BlowupSpec(base=base, parts=parts) for _, hits, _ in results for _, parts in hits]
+    # tasks screen in size-tuple order; the hits are reported in
+    # assignment order
+    hits = sorted((hit for _, task_hits, _ in results for hit in task_hits), key=lambda h: h[0])
+    found = [BlowupSpec(base=base, parts=parts) for _, parts in hits]
     for spec in found:
         _verify_hit(spec)
     return SearchReport(

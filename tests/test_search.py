@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from itertools import product
 from math import comb
 
@@ -20,6 +21,7 @@ from bugraph.blowup import (
 from bugraph.graphs import (
     Graph,
     diameter,
+    enumerate_graphs,
     generate,
     is_isomorphic,
     parse_graph6,
@@ -66,14 +68,16 @@ class TestScreen:
         base = parse_graph6(graph6)
         cands = candidate_parts(SearchBudget(part_family=family, max_part_size=max_size))
         specs = list(product(cands, repeat=base.n))
-        _, found, completed = _scan_task((base, (cands,) * base.n, 0, len(specs), None, None))
-        assert completed
+        tuples = len({c.size for c in cands}) ** base.n
+        examined, found, completed = _scan_task((base, (cands,) * base.n, 0, tuples, None, None))
+        assert completed and examined == len(specs)
         want = [
             i
             for i, parts in enumerate(specs)
             if is_betweenness_uniform(blow_up(BlowupSpec(base, parts)).graph).uniform
         ]
-        assert [i for i, _ in found] == want
+        assert sorted(i for i, _ in found) == want
+        assert all(specs[i] == parts for i, parts in found)
 
     def test_specs_sharing_a_size_tuple_get_their_own_verdicts(self):
         # (2, 1, 1) on the triangle: K2 in the first part blows up to K_4,
@@ -84,21 +88,29 @@ class TestScreen:
         assert "Bw[I2,I1,I1]" not in labels
         # the same pair met in the other order within one scan
         i1, i2, k2 = candidate_parts(SearchBudget(part_family="ik", max_part_size=2))
-        job = (generate("cycle", 3), ((k2, i2), (i1,), (i1,)), 0, 2, None, None)
+        job = (generate("cycle", 3), ((k2, i2), (i1,), (i1,)), 0, 1, None, None)
         _, found, _ = _scan_task(job)
         assert found == [(0, (k2, i1, i1))]
 
     def test_chunks_line_up_with_the_odometer(self):
-        # one scan over the whole space finds what 343 one-spec scans do
+        # one scan over all 27 size tuples finds and examines what 27
+        # one-tuple scans do, once their hits are merged and sorted
         cands = candidate_parts(SearchBudget(part_family="all", max_part_size=3))
         job = (generate("cycle", 3), (cands,) * 3)
-        _, whole, _ = _scan_task((*job, 0, len(cands) ** 3, None, None))
-        pieces = [
-            hit
-            for lo in range(len(cands) ** 3)
-            for hit in _scan_task((*job, lo, lo + 1, None, None))[1]
-        ]
-        assert whole and pieces == whole
+        examined, whole, _ = _scan_task((*job, 0, 27, None, None))
+        pieces = [_scan_task((*job, lo, lo + 1, None, None)) for lo in range(27)]
+        assert examined == sum(e for e, _, _ in pieces) == len(cands) ** 3
+        assert whole and sorted(hit for _, hits, _ in pieces for hit in hits) == sorted(whole)
+        assert _scan_task((*job, 27, 28, None, None)) == (0, [], True)
+
+    def test_deadline_inside_one_size_tuple(self):
+        # the 34 classes on five vertices at every vertex of the 5-cycle:
+        # one size tuple of 34**5 assignments, which must still stop on time
+        cands = tuple(PartDescriptor.for_graph(h) for h in enumerate_graphs(5))
+        assert len(cands) == 34
+        job = (generate("cycle", 5), (cands,) * 5, 0, 1, None, time.monotonic() + 0.2)
+        examined, _, completed = _scan_task(job)
+        assert not completed and examined < 34**5
 
     def test_large_parts_on_long_path(self):
         # 40**12 geodesics join two vertices of the end parts, past any
@@ -155,9 +167,23 @@ class TestSearch:
         assert all("K" not in lab.split("[")[1] for lab in labels)
 
     def test_edge_base_finds_balanced_pairs(self):
+        # in assignment order, which here differs from size-tuple order:
+        # (I2, I2) comes before (K2, I1), whose size tuple (2, 1) is
+        # screened first
         rep = search_blowups(generate("path", 2), SearchBudget(part_family="ik", max_part_size=3))
-        labels = {s.label() for s in rep.found}
-        assert {"A_[K2,K2]", "A_[I3,I3]", "A_[K2,K3]"} <= labels
+        assert [s.label() for s in rep.found] == [
+            "A_[I1,I1]",
+            "A_[I1,K2]",
+            "A_[I1,K3]",
+            "A_[I2,I2]",
+            "A_[K2,I1]",
+            "A_[K2,K2]",
+            "A_[K2,K3]",
+            "A_[I3,I3]",
+            "A_[K3,I1]",
+            "A_[K3,K2]",
+            "A_[K3,K3]",
+        ]
 
     def test_path4_empty_and_exhausted(self):
         rep = search_blowups(generate("path", 4), SearchBudget(part_family="ik", max_part_size=3))
@@ -178,8 +204,9 @@ class TestSearch:
         rep = search_blowups(generate("cycle", 3), SearchBudget(part_family="ik", max_part_size=2))
         assert "Bw[K2,I1,I1]" in {s.label() for s in rep.found}
 
-    # 1764 and 294 specs, in chunks of 111 and 19, so most chunks start
-    # in the middle of the odometer; the path3 budget has hits.  With
+    # 1764 and 294 specs over 144 and 18 size tuples, in chunks of 9 and
+    # 2 tuples, so the pool gets 16 and 9 tasks and most start in the
+    # middle of the size-tuple odometer; the path3 budget has hits.  With
     # parts of size 1 only, the cut vertex of path3 has no candidate, so
     # the space is empty and must still read as exhausted.
     @pytest.mark.parametrize(
