@@ -1,8 +1,10 @@
 """Exact betweenness centrality and betweenness-uniform blow-ups.
 
-Graphs are immutable, vertices are 0..n-1, and every centrality value
-is a fractions.Fraction, so equality questions ("is this graph
-betweenness-uniform?") are decided exactly, never numerically.
+Graphs, blow-up specs, reports and the other records are immutable
+named tuples, read by field name; vertices are 0..n-1, and every
+centrality value is a fractions.Fraction, so equality questions ("is
+this graph betweenness-uniform?") are decided exactly, never
+numerically.
 """
 
 from .betweenness import (

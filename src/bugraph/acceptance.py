@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -73,26 +73,23 @@ _CORPUS_SEED = 20260819
 _CORPUS_SIZE = 200
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class CriterionResult(namedtuple("CriterionResult", "number name passed detail seconds")):
+    """One criterion's verdict, its detail line and its run time."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         return f"[{self.number:2d}] {verdict}  {self.name} ({self.seconds:.1f}s): {self.detail}"
 
 
-@dataclass
 class _Registry:
     """Everything later audited by the sanity criterion, and the corpus
     pass that criteria 6 and 7 share, built by whichever runs first."""
 
-    uniform_graphs: dict[Graph, str] = field(default_factory=dict)  # graph -> source
-    empty_claims: list[tuple[str, SearchReport]] = field(default_factory=list)
+    def __init__(self):
+        self.uniform_graphs: dict[Graph, str] = {}  # graph -> source
+        self.empty_claims: list[tuple[str, SearchReport]] = []
 
     @cached_property
     def corpus_verdicts(self) -> tuple[tuple[bool, str], tuple[bool, str]]:

@@ -42,9 +42,9 @@ is fine; pairs in different components contribute nothing.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple
 
 from .graphs import Graph
 
@@ -272,9 +272,11 @@ def betweenness_oracle(g: Graph) -> list[Fraction]:
     return oracle_split(g, range(g.n))[0]
 
 
-class UniformityResult(NamedTuple):
-    uniform: bool
-    common: Fraction | None
+class UniformityResult(namedtuple("UniformityResult", "uniform common")):
+    """Whether all values are equal, and that value (``None`` when they
+    differ or there are none)."""
+
+    __slots__ = ()
 
 
 def profile_uniformity(values) -> UniformityResult:

@@ -33,8 +33,8 @@ labelled by its part, so the two routes can be compared exactly.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations
@@ -68,28 +68,27 @@ PART_CLIQUE = "K"
 PART_EXPLICIT = "X"
 
 
-@dataclass(frozen=True)
-class PartDescriptor:
-    """One part of a blow-up: an independent set, a clique, or any graph."""
+class PartDescriptor(namedtuple("PartDescriptor", "kind size graph")):
+    """One part of a blow-up: an independent set, a clique, or any graph.
 
-    kind: str
-    size: int = 0
-    graph: Graph | None = None
+    An explicit part takes its size from its graph.
+    """
 
-    def __post_init__(self):
-        if self.kind in (PART_INDEPENDENT, PART_CLIQUE):
-            if self.graph is not None:
+    def __new__(cls, kind: str, size: int = 0, graph: Graph | None = None):
+        if kind in (PART_INDEPENDENT, PART_CLIQUE):
+            if graph is not None:
                 raise ValueError("I/K parts are given by size, not by graph")
-            if self.size < 1:
+            if size < 1:
                 raise ValueError("part needs at least one vertex")
-        elif self.kind == PART_EXPLICIT:
-            if self.graph is None:
+        elif kind == PART_EXPLICIT:
+            if graph is None:
                 raise ValueError("explicit part needs a graph")
-            if self.graph.n < 1:
+            if graph.n < 1:
                 raise ValueError("part needs at least one vertex")
-            object.__setattr__(self, "size", self.graph.n)
+            size = graph.n
         else:
-            raise ValueError(f"unknown part kind {self.kind!r}")
+            raise ValueError(f"unknown part kind {kind!r}")
+        return super().__new__(cls, kind, size, graph)
 
     @classmethod
     def independent(cls, m: int) -> "PartDescriptor":
@@ -131,23 +130,19 @@ class PartDescriptor:
         return tuple(_common_neighbors(self.graph)) if self.kind == PART_EXPLICIT else ()
 
 
-@dataclass(frozen=True)
-class BlowupSpec:
+class BlowupSpec(namedtuple("BlowupSpec", "base parts")):
     """A base graph plus one part descriptor per base vertex."""
 
-    base: Graph
-    parts: tuple[PartDescriptor, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.base.n < 2:
+    def __new__(cls, base: Graph, parts: tuple[PartDescriptor, ...]):
+        if base.n < 2:
             raise ValueError("blow-up base needs at least two vertices")
-        if -1 in self.base.distances[0]:
+        if -1 in base.distances[0]:
             raise ValueError("blow-up base must be connected")
-        if len(self.parts) != self.base.n:
-            raise ValueError(
-                f"need one part per base vertex: {self.base.n} != {len(self.parts)}"
-            )
-        object.__setattr__(self, "parts", tuple(self.parts))
+        if len(parts) != base.n:
+            raise ValueError(f"need one part per base vertex: {base.n} != {len(parts)}")
+        return super().__new__(cls, base, tuple(parts))
 
     @property
     def total_vertices(self) -> int:
@@ -169,17 +164,13 @@ class BlowupSpec:
         return f"{serialize_graph6(self.base)}[{inner}]"
 
 
-@dataclass(frozen=True)
-class BlownGraph:
+class BlownGraph(namedtuple("BlownGraph", "graph part_of part_vertices")):
     """The blown-up graph with its part provenance.
 
     Vertices are numbered contiguously part by part, in base-vertex
-    order: part i occupies ``part_vertices[i]``.
+    order: vertex v lies in part ``part_of[v]``, and part i occupies
+    ``part_vertices[i]``.
     """
-
-    graph: Graph
-    part_of: tuple[int, ...]
-    part_vertices: tuple[tuple[int, ...], ...]
 
     @cached_property
     def pair_split(self) -> tuple[list[Fraction], list[dict[int, Fraction]]]:
@@ -215,14 +206,11 @@ def blow_up(spec: BlowupSpec) -> BlownGraph:
     )
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Betweenness of one blown-up vertex, split by pair location."""
+class Decomposition(namedtuple("Decomposition", "vertex global_part own_local neighbor_locals")):
+    """Betweenness of one blown-up vertex, split by pair location:
+    ``Fraction`` shares, ``neighbor_locals`` keyed by part."""
 
-    vertex: int
-    global_part: Fraction
-    own_local: Fraction
-    neighbor_locals: dict[int, Fraction]
+    __slots__ = ()
 
     def total(self) -> Fraction:
         return self.global_part + self.own_local + sum(
@@ -439,11 +427,10 @@ class DeltaUndefinedError(ValueError):
     """The betweenness-ratio denominator vanished (e.g. a two-vertex base)."""
 
 
-@dataclass(frozen=True)
-class DeltaResult:
-    value: Fraction
-    x: int
-    y: int
+class DeltaResult(namedtuple("DeltaResult", "value x y")):
+    """``delta_xy(spec, x, y)`` with the vertices x and y it compares."""
+
+    __slots__ = ()
 
 
 def _locate(spec: BlowupSpec, v: int) -> tuple[int, int]:

@@ -35,7 +35,6 @@ from itertools import islice, product
 from .betweenness import (
     betweenness_exact,
     format_rational,
-    is_betweenness_uniform,
     profile_json,
     profile_uniformity,
 )
@@ -143,23 +142,31 @@ def _cmd_bc(args) -> int:
     return EXIT_OK
 
 
-def _cmd_uniform(args) -> int:
-    g = _load_graph(args.graph, args.literal)
-    values = betweenness_exact(g)
+def _verdict_json(values, part_of=None) -> dict:
+    """The uniformity verdict on a betweenness profile.  A non-uniform
+    one names its witness: vertex 0 and the first vertex whose value
+    differs from it, their values and, given ``part_of``, their parts."""
     verdict = profile_uniformity(values)
     out = {
         "uniform": verdict.uniform,
         "common": None if verdict.common is None else format_rational(verdict.common),
     }
     if not verdict.uniform:
-        # vertex 0 and the first vertex whose value differs from it
         v = next(v for v, x in enumerate(values) if x != values[0])
         out["witness"] = {
             "vertices": [0, v],
             "values": [format_rational(values[0]), format_rational(values[v])],
         }
+        if part_of is not None:
+            out["witness"]["parts"] = [part_of[0], part_of[v]]
+    return out
+
+
+def _cmd_uniform(args) -> int:
+    g = _load_graph(args.graph, args.literal)
+    out = _verdict_json(betweenness_exact(g))
     _emit(out)
-    return EXIT_OK if verdict.uniform else EXIT_NOT_UNIFORM
+    return EXIT_OK if out["uniform"] else EXIT_NOT_UNIFORM
 
 
 def _blow_up_checked(spec):
@@ -226,17 +233,11 @@ def _build_family_spec(family: str, sizes: list[int]):
 def _cmd_construct(args) -> int:
     spec = _build_family_spec(args.family, args.sizes)
     bg = _blow_up_checked(spec)
-    verdict = is_betweenness_uniform(bg.graph)
     _emit(
         {
             "spec": spec_to_json(spec),
             "graph6": serialize_graph6(bg.graph),
-            "verification": {
-                "uniform": verdict.uniform,
-                "common": None
-                if verdict.common is None
-                else format_rational(verdict.common),
-            },
+            "verification": _verdict_json(betweenness_exact(bg.graph), bg.part_of),
         }
     )
     return EXIT_OK

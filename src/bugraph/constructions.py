@@ -20,7 +20,7 @@ the rational inequalities are compared after clearing denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .blowup import BlowupSpec, PartDescriptor
 from .graphs import generate
@@ -90,34 +90,30 @@ def p4_mixed_spec(a: int, b: int, c: int, d: int) -> BlowupSpec:
     )
 
 
-@dataclass(frozen=True)
-class P4SizeTuple:
+class P4SizeTuple(namedtuple("P4SizeTuple", "a b c d")):
     """Part sizes (a, b, c, d) for a blow-up of the 4-vertex path."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.a, self.b, self.c, self.d) < 1:
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        if min(a, b, c, d) < 1:
             raise ValueError("all four sizes must be positive integers")
+        return super().__new__(cls, a, b, c, d)
 
 
-@dataclass(frozen=True)
-class P4InfeasibilityReport:
+class P4InfeasibilityReport(
+    namedtuple("P4InfeasibilityReport", "tuple ineq1_holds ineq2_holds combined_violated")
+):
     """Outcome of the two uniformity inequalities for one size tuple.
 
     ``ineq1_holds``: C(b,2)/(a+c) >= a(c+d)/b + C(c,2)/(b+d)
     ``ineq2_holds``: C(c,2)/(b+d) >= d(a+b)/c + C(b,2)/(a+c)
     ``combined_violated``: a*c*(c+d) + b*d*(a+b) > 0, the contradiction
     obtained by adding the two, so uniformity is impossible.
+    ``tuple`` is the ``P4SizeTuple`` checked.
     """
 
-    tuple: P4SizeTuple
-    ineq1_holds: bool
-    ineq2_holds: bool
-    combined_violated: bool
+    __slots__ = ()
 
 
 def p4_infeasibility_check(t: P4SizeTuple) -> P4InfeasibilityReport:

@@ -1,10 +1,10 @@
 """Simple undirected graphs with dense integer vertices.
 
-Everything downstream builds on this module: an immutable ``Graph``
-type, graph6 I/O, the classic generator families, structural
-predicates (connectivity, diameter, 2-connectedness), exact
-isomorphism testing via canonical forms, and isomorphism-free
-enumeration of small graphs and trees.
+Everything downstream builds on this module: ``Graph``, an immutable
+named tuple ``(n, edges)``, graph6 I/O, the classic generator
+families, structural predicates (connectivity, diameter,
+2-connectedness), exact isomorphism testing via canonical forms, and
+isomorphism-free enumeration of small graphs and trees.
 
 Vertices are always 0..n-1.  Edges are stored as sorted ``(u, v)``
 pairs with ``u < v``; parallel edges and loops are rejected outright.
@@ -12,8 +12,7 @@ pairs with ``u < v``; parallel edges and loops are rejected outright.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import eq
@@ -56,35 +55,33 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "n edges")):
     """Immutable simple undirected graph on vertices ``0..n-1``.
 
     The constructor normalizes edge tuples (sorted endpoints, sorted
     edge list) so structurally equal graphs compare and hash equal.
+    Like every record of this package, a graph is a named tuple; it
+    keeps an instance ``__dict__`` for its cached properties.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, n: int, edges: tuple[tuple[int, int], ...] = ()):
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
         norm = []
-        for e in self.edges:
+        for e in edges:
             u, v = e
             if u > v:
                 u, v = v, u
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
-            if u < 0 or v >= self.n:
-                raise ValueError(f"edge {e!r} out of range for n={self.n}")
+            if u < 0 or v >= n:
+                raise ValueError(f"edge {e!r} out of range for n={n}")
             norm.append((u, v))
         norm.sort()
         # sorted, a duplicate sits next to its twin; map keeps the scan in C
         if any(map(eq, norm, norm[1:])):
             raise ValueError("duplicate edge in edge list")
-        object.__setattr__(self, "edges", tuple(norm))
+        return super().__new__(cls, n, tuple(norm))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":

@@ -37,7 +37,7 @@ report with ``exhausted=False``, never a silently truncated one.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice, product
 from math import inf, prod
@@ -89,42 +89,42 @@ _TREE_THEOREM_CAP = 7
 _CUT_CONJECTURE_CAP = 6
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(
+    namedtuple("SearchBudget", "part_family max_part_size max_total_vertices time_limit")
+):
     """Bounds on the assignment space a search is allowed to cover."""
 
-    part_family: str = FAMILY_IK
-    max_part_size: int = 4
-    max_total_vertices: int | None = None
-    time_limit: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.part_family not in (FAMILY_IK, FAMILY_ALL):
-            raise ValueError(f"unknown part family {self.part_family!r}")
-        if self.max_part_size < 1:
+    def __new__(
+        cls,
+        part_family: str = FAMILY_IK,
+        max_part_size: int = 4,
+        max_total_vertices: int | None = None,
+        time_limit: float | None = None,
+    ):
+        if part_family not in (FAMILY_IK, FAMILY_ALL):
+            raise ValueError(f"unknown part family {part_family!r}")
+        if max_part_size < 1:
             raise ValueError("max_part_size must be >= 1")
-        if self.part_family == FAMILY_ALL and self.max_part_size > _ALL_FAMILY_SIZE_CAP:
+        if part_family == FAMILY_ALL and max_part_size > _ALL_FAMILY_SIZE_CAP:
             raise ValueError(
                 f"family {FAMILY_ALL!r} supports max_part_size <= {_ALL_FAMILY_SIZE_CAP}"
             )
-        if self.max_total_vertices is not None and self.max_total_vertices < 2:
+        if max_total_vertices is not None and max_total_vertices < 2:
             raise ValueError("max_total_vertices must be >= 2")
         # written so that NaN, which compares false, is rejected too;
         # infinity would pass through to the report, where JSON has no
         # spelling for it
-        if self.time_limit is not None and not 0 < self.time_limit < inf:
+        if time_limit is not None and not 0 < time_limit < inf:
             raise ValueError("time_limit must be positive and finite")
+        return super().__new__(cls, part_family, max_part_size, max_total_vertices, time_limit)
 
 
-@dataclass
-class SearchReport:
+class SearchReport(namedtuple("SearchReport", "base budget found exhausted specs_examined")):
     """Outcome of one exhaustive scan over a base graph."""
 
-    base: Graph
-    budget: SearchBudget
-    found: list[BlowupSpec]
-    exhausted: bool
-    specs_examined: int
+    __slots__ = ()
 
 
 def candidate_parts(budget: SearchBudget) -> tuple[PartDescriptor, ...]:
@@ -334,16 +334,19 @@ def verify_lemma(slot: str, m: int, context: tuple[int, int, int]) -> bool:
 # structured sweeps
 
 
-@dataclass
-class TreeBlowupReport:
-    """Verdict for one tree base: searched empty, or a known construction."""
+class TreeBlowupReport(
+    namedtuple(
+        "TreeBlowupReport",
+        "tree diameter status search construction construction_value",
+        defaults=(None, None, None),
+    )
+):
+    """Verdict for one tree base: searched empty, or a known construction.
 
-    tree: Graph
-    diameter: int
-    status: str  # "searched" | "construction" | "too_small"
-    search: SearchReport | None = None
-    construction: BlowupSpec | None = None
-    construction_value: Fraction | None = None
+    ``status`` is "searched", "construction" or "too_small".
+    """
+
+    __slots__ = ()
 
 
 def verify_tree_theorem(

@@ -102,11 +102,11 @@ class TestConstruction:
             expect += p.size
 
     def test_rejects_single_vertex_base(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^blow-up base needs at least two vertices$"):
             BlowupSpec(base=Graph(1), parts=(PartDescriptor.independent(2),))
 
     def test_rejects_disconnected_base(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^blow-up base must be connected$"):
             BlowupSpec(
                 base=Graph(2, ()),
                 parts=(PartDescriptor.independent(1), PartDescriptor.independent(1)),
@@ -130,7 +130,7 @@ class TestConstruction:
         assert len(calls) <= base.n
 
     def test_rejects_wrong_part_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need one part per base vertex: 3 != 1$"):
             BlowupSpec(base=generate("path", 3), parts=(PartDescriptor.clique(2),))
 
     def test_known_small_blowup(self):

@@ -313,9 +313,21 @@ class TestConstruct:
         assert obj["verification"]["uniform"] is True
 
     def test_p4_reports_non_uniform(self, capsys):
-        code, out, _ = run(capsys, "construct", "p4", "2", "2", "2", "2")
-        assert code == 0
-        assert json.loads(out)["verification"]["uniform"] is False
+        for sizes in ((2, 2, 2, 2), (1, 2, 2, 1)):
+            code, out, _ = run(capsys, "construct", "p4", *map(str, sizes))
+            assert code == 0
+            obj = json.loads(out)
+            verdict = obj["verification"]
+            assert list(verdict) == ["uniform", "common", "witness"]
+            assert verdict["uniform"] is False and verdict["common"] is None
+            # the witness is the one `uniform` prints, with both parts
+            bg = blow_up(p4_mixed_spec(*sizes))
+            assert obj["graph6"] == serialize_graph6(bg.graph)
+            oracle = betweenness_oracle(bg.graph)
+            u, v = verdict["witness"]["vertices"]
+            assert u == 0 and all(x == oracle[0] for x in oracle[1:v]) and oracle[v] != oracle[0]
+            assert verdict["witness"]["values"] == [format_rational(x) for x in (oracle[0], oracle[v])]
+            assert verdict["witness"]["parts"] == [bg.part_of[0], bg.part_of[v]]
 
     def test_wrong_arity(self, capsys):
         code, _, err = run(capsys, "construct", "p2", "1", "2")
@@ -581,6 +593,19 @@ def test_cli_start_does_not_load_the_process_pool():
         "import sys; import bugraph.cli; "
         "print(sorted({m.partition('.')[0] for m in sys.modules} "
         "& {'concurrent', 'multiprocessing'}))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_start_does_not_load_dataclasses_inspect_or_typing():
+    # The records are named tuples; dataclasses, with the inspect and
+    # typing modules it loads, cost more than the rest of the import.
+    # Only new modules count: a site hook may load typing beforehand.
+    proc = _run_python(
+        "-c",
+        "import sys; before = set(sys.modules); import bugraph.cli, bugraph.acceptance; "
+        "print(sorted((set(sys.modules) - before) & {'dataclasses', 'inspect', 'typing'}))",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -130,7 +130,7 @@ def _fraction_flags(a: int, b: int, c: int, d: int) -> tuple[bool, bool]:
 
 class TestP4Infeasibility:
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^all four sizes must be positive integers$"):
             P4SizeTuple(1, 0, 1, 1)
 
     @given(sizes, sizes, sizes, sizes)

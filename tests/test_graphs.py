@@ -37,17 +37,17 @@ class TestGraphType:
         assert g.edge_count == 2
 
     def test_rejects_duplicate_edge(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^duplicate edge in edge list$"):
             Graph(4, ((3, 1), (0, 2), (1, 3)))
 
     def test_rejects_loop(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^loop at vertex 1 not allowed$"):
             Graph(3, ((1, 1),))
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge \(0, 3\) out of range for n=3$"):
             Graph(3, ((0, 3),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
             Graph(-1, ())
 
     def test_adjacency_and_degree(self):

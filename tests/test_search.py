@@ -140,19 +140,16 @@ class TestCandidates:
         assert sum(1 for s in labels if s.startswith("X")) == 2
 
     def test_budget_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown part family 'weird'$"):
             SearchBudget(part_family="weird")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max_part_size must be >= 1$"):
             SearchBudget(max_part_size=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^family 'all' supports max_part_size <= 5$"):
             SearchBudget(part_family="all", max_part_size=6)
-        with pytest.raises(ValueError):
-            SearchBudget(time_limit=0)
-        with pytest.raises(ValueError):
-            SearchBudget(time_limit=float("nan"))
-        with pytest.raises(ValueError):
-            SearchBudget(time_limit=float("inf"))
-        with pytest.raises(ValueError):
+        for limit in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^time_limit must be positive and finite$"):
+                SearchBudget(time_limit=limit)
+        with pytest.raises(ValueError, match="^max_total_vertices must be >= 2$"):
             SearchBudget(max_total_vertices=1)
 
 
