@@ -22,6 +22,7 @@ __all__ = [
     "TREE_ENUM_CAP",
     "Graph",
     "Graph6Error",
+    "automorphisms",
     "bfs_distances",
     "canonical_form",
     "canonical_relabel",
@@ -34,6 +35,7 @@ __all__ = [
     "is_isomorphic",
     "is_tree",
     "is_two_connected",
+    "orbit",
     "parse_graph6",
     "serialize_graph6",
 ]
@@ -460,6 +462,103 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     if sorted(g.degree(v) for v in range(g.n)) != sorted(h.degree(v) for v in range(h.n)):
         return False
     return canonical_form(g) == canonical_form(h)
+
+
+# ---------------------------------------------------------------------------
+# automorphism groups
+#
+# A stabilizer chain over the vertices in BFS order b_0, b_1, ...: level k
+# holds one automorphism that fixes b_0..b_{k-1} and maps b_k to v, for each
+# v that the automorphisms already found (all of which fix b_0..b_{k-1}) do
+# not map b_k to.  Levels run from the last vertex back, so at every level
+# the generators found so far generate the whole pointwise stabilizer below
+# it, and |Aut| is the product over levels of the orbit size of b_k.  Each
+# automorphism comes from a backtracking search that keeps refined colors
+# and adjacency to the vertices already mapped; with BFS order, a vertex's
+# image must neighbor the image of an earlier vertex.
+
+
+def _bfs_order(g: Graph) -> list[int]:
+    order: list[int] = []
+    seen = bytearray(g.n)
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        i = len(order)
+        order.append(root)
+        while i < len(order):
+            for w in g.adjacency[order[i]]:
+                if not seen[w]:
+                    seen[w] = 1
+                    order.append(w)
+            i += 1
+    return order
+
+
+def _extend_automorphism(bits, colors, order, k: int, t: int) -> tuple[int, ...] | None:
+    """An automorphism that fixes order[:k] and maps order[k] to t, as a
+    tuple p with p[v] the image of v, or None if there is none."""
+    n = len(order)
+    perm = list(range(n))
+    fixed = sum(1 << v for v in order[:k])
+
+    def rec(i: int, used: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        for w in (t,) if i == k else range(n):
+            if used >> w & 1 or colors[w] != colors[v] or bits[v] & fixed != bits[w] & fixed:
+                continue
+            if any((bits[v] >> u & 1) != (bits[w] >> perm[u] & 1) for u in order[k:i]):
+                continue
+            perm[v] = w
+            if rec(i + 1, used | 1 << w):
+                return True
+        return False
+
+    return tuple(perm) if rec(k, fixed) else None
+
+
+def orbit(x, moves) -> list:
+    """x first, then every other image of x under the group that the
+    functions ``moves`` generate, each image once."""
+    out = [x]
+    seen = {x}
+    for y in out:
+        for move in moves:
+            z = move(y)
+            if z not in seen:
+                seen.add(z)
+                out.append(z)
+    return out
+
+
+@lru_cache(maxsize=128)
+def automorphisms(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(order, generators)`` of the automorphism group of g.
+
+    Each generator is a tuple p with p[v] the image of vertex v.  There
+    are at most n(n-1)/2 of them, and the work does not grow with the
+    group's order.
+    """
+    bits = g.adjacency_bits
+    colors = _color_classes(g.n, bits)
+    order = _bfs_order(g)
+    gens: list[tuple[int, ...]] = []
+    size = 1
+    for k in reversed(range(g.n)):
+        b = order[k]
+        reach = set(orbit(b, [p.__getitem__ for p in gens]))
+        for t in order[k + 1 :]:
+            if t in reach or colors[t] != colors[b]:
+                continue
+            perm = _extend_automorphism(bits, colors, order, k, t)
+            if perm is not None:
+                gens.append(perm)
+                reach = set(orbit(b, [p.__getitem__ for p in gens]))
+        size *= len(reach)
+    return size, tuple(gens)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,22 @@ candidate's numerators of the shares inside parts.  The blow-up is
 uniform iff every vertex gets the same numerator; the screen stops at
 the first part that differs.
 
-A scan task walks a range of size tuples in ``itertools.product``
-order, makes that one call per size tuple, and screens every
-assignment of the tuple's candidates, so I_m and K_m candidates, and
-all explicit classes of one size, share one plan run.  Each hit carries
-its index in the ``itertools.product`` order of whole assignments, last
-base vertex fastest, and the search sorts the hits by it.
+Symmetry: an automorphism pi of the base maps an assignment A to
+A o pi, which is uniform iff A is, and it maps the candidate lists onto
+themselves.  So the search lists one size tuple per orbit of Aut(base),
+the first in ``itertools.product`` order, with the orbit's size as its
+weight.  A scan task makes that one call per listed size tuple and
+screens every assignment of the tuple's candidates, so I_m and K_m
+candidates, and all explicit classes of one size, share one plan run.
+Each screened assignment counts as ``weight`` examined specs, and each
+hit brings every image of it under Aut(base).  Each hit carries its
+index in the ``itertools.product`` order of whole assignments, last
+base vertex fastest, and the search sorts the hits by it.  The group
+comes from ``graphs.automorphisms`` as a few generators, and orbits are
+closed under those, so the work does not grow with the group's order.
 The work per assignment does not grow with part sizes.  A serial
-search is one scan task run inline; a parallel one splits the size
-tuples into tasks for a process pool.  Every positive is then
+search is one scan task run inline; a parallel one hands slices of the
+listed size tuples to a process pool.  Every positive is then
 re-verified twice over, with the two independent betweenness
 algorithms on the built graph, before it is reported.
 
@@ -37,10 +44,12 @@ report with ``exhausted=False``, never a silently truncated one.
 from __future__ import annotations
 
 import time
-from collections import namedtuple
+from collections import deque, namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice, product
 from math import inf, prod
+from operator import getitem, itemgetter, mul
 
 from .betweenness import betweenness_exact, betweenness_oracle, profile_uniformity
 from .blowup import (
@@ -54,6 +63,7 @@ from .blowup import (
 from .constructions import p2_clique_spec, star_spec
 from .graphs import (
     Graph,
+    automorphisms,
     cut_vertices,
     diameter,
     enumerate_graphs,
@@ -61,6 +71,7 @@ from .graphs import (
     generate,
     is_connected,
     is_isomorphic,
+    orbit,
     serialize_graph6,
 )
 
@@ -87,6 +98,12 @@ _ALL_FAMILY_SIZE_CAP = 5
 _LEMMA_SIZE_CAP = 5
 _TREE_THEOREM_CAP = 7
 _CUT_CONJECTURE_CAP = 6
+# size tuples above which a search screens every tuple rather than one
+# per orbit of Aut(base); 4**9, so every base on up to 9 vertices with
+# parts of size <= 4 is reduced
+_ORBIT_TUPLE_CAP = 1 << 18
+# orbits per pool task, at most: what the pool holds at once stays small
+_POOL_SLICE_CAP = 1024
 
 
 class SearchBudget(
@@ -128,15 +145,25 @@ class SearchReport(namedtuple("SearchReport", "base budget found exhausted specs
 
 
 def candidate_parts(budget: SearchBudget) -> tuple[PartDescriptor, ...]:
-    """The deterministic candidate list one base vertex ranges over."""
-    if budget.part_family == FAMILY_IK:
+    """The deterministic candidate list one base vertex ranges over.
+
+    Budgets with the same family and part size cap share one tuple, so
+    every search reuses its descriptors and their cached common-neighbor
+    lists.
+    """
+    return _candidates(budget.part_family, budget.max_part_size)
+
+
+@lru_cache(maxsize=16)
+def _candidates(family: str, max_size: int) -> tuple[PartDescriptor, ...]:
+    if family == FAMILY_IK:
         out = [PartDescriptor.independent(1)]
-        for s in range(2, budget.max_part_size + 1):
+        for s in range(2, max_size + 1):
             out.append(PartDescriptor.independent(s))
             out.append(PartDescriptor.clique(s))
         return tuple(out)
     out = []
-    for s in range(1, budget.max_part_size + 1):
+    for s in range(1, max_size + 1):
         out.extend(PartDescriptor.for_graph(g) for g in enumerate_graphs(s))
     return tuple(out)
 
@@ -156,50 +183,76 @@ def _verify_hit(spec: BlowupSpec) -> None:
         raise RuntimeError(f"betweenness algorithms disagree on {spec.label()}")
 
 
-def _scan_task(args) -> tuple[int, list[tuple[int, tuple[PartDescriptor, ...]]], bool]:
-    """Screen the size tuples with indices lo..hi-1.
+def _size_orbits(sizes, gens, max_total):
+    """Yield ``(sizes, weight)``: the first size tuple of each orbit of
+    Aut(base) in ``itertools.product`` order over ``sizes``, with the
+    orbit's size.
 
-    Size tuples are numbered in ``itertools.product`` order over each
-    base vertex's candidate sizes, in order of first appearance in
-    ``cand_lists``.  Each tuple gets one ``numerators`` call, and every
-    assignment of its candidates is screened: it is uniform iff every
-    vertex of its blow-up gets the same numerator over the tuple's
-    common denominator.  A hit carries its assignment's index in
+    A group generator p maps a tuple t to ``t[p[0]], t[p[1]], ...``.
+    Tuples over ``max_total`` are skipped; the total is the same on a
+    whole orbit.  Only the members of orbits already yielded that
+    product order has not reached yet are held.
+    """
+    moves = [itemgetter(*p) for p in gens]
+    ahead: set[tuple[int, ...]] = set()
+    for t in product(*sizes):
+        if max_total is not None and sum(t) > max_total:
+            continue
+        if t in ahead:
+            ahead.remove(t)
+            continue
+        members = orbit(t, moves)
+        ahead.update(members[1:])
+        yield t, len(members)
+
+
+def _scan_task(args) -> tuple[int, list[tuple[int, tuple[PartDescriptor, ...]]], bool]:
+    """Screen the size tuples ``reps`` lists, and account for their orbits.
+
+    ``args`` is ``(base, cand_lists, gens, reps, deadline)``: ``gens``
+    generates Aut(base), under which ``cand_lists`` must be invariant,
+    and ``reps`` yields ``(sizes, weight)`` pairs, ``weight`` being the
+    size of the orbit of ``sizes``.  Each tuple gets one ``numerators``
+    call, and every assignment of its candidates is screened: it is
+    uniform iff every vertex of its blow-up gets the same numerator over
+    the tuple's common denominator.  Each screened assignment decides
+    ``weight`` assignments, itself and one in every other size tuple of
+    the orbit, so it adds ``weight`` to the examined count.  A hit adds
+    itself and every other image under Aut(base), each with its index in
     ``itertools.product`` order over ``cand_lists``.
     """
-    base, cand_lists, lo, hi, max_total, deadline = args
+    base, cand_lists, gens, reps, deadline = args
     plan = geodesic_plan(base)
     adj = base.adjacency
-    # slots[j][s]: vertex j's candidates of size s, each with its
-    # index in cand_lists[j] times the stride of vertex j
+    strides = [prod(map(len, cand_lists[j + 1 :])) for j in range(len(cand_lists))]
+    moves = [itemgetter(*p) for p in gens]
+    # slots[j][s]: vertex j's candidates of size s, each with its index
+    # in cand_lists[j]
     slots = []
-    for j, cands in enumerate(cand_lists):
-        stride = prod(map(len, cand_lists[j + 1 :]))
+    for cands in cand_lists:
         slot: dict[int, list[tuple[int, PartDescriptor]]] = {}
         for ci, cand in enumerate(cands):
-            slot.setdefault(cand.size, []).append((ci * stride, cand))
+            slot.setdefault(cand.size, []).append((ci, cand))
         slots.append(slot)
     examined = 0
-    found: list[tuple[int, tuple[PartDescriptor, ...]]] = []
-    for sizes in islice(product(*slots), lo, hi):
-        if max_total is not None and sum(sizes) > max_total:
-            continue
+    found: dict[int, tuple[PartDescriptor, ...]] = {}
+    for sizes, weight in reps:
         groups = [slot[s] for slot, s in zip(slots, sizes)]
         _, glob, local = plan.numerators([[cand for _, cand in g] for g in groups])
         # per candidate: neighbor numerator, the own numerator every
-        # vertex of the part shares (None when they differ), its
-        # offset in the assignment index, and the candidate itself
+        # vertex of the part shares (None when they differ), and its
+        # index in cand_lists
         rows = [
             [
-                (nbr, 0 if own is None else own[0] if len(set(own)) == 1 else None, at, cand)
-                for (at, cand), (nbr, own) in zip(group, cands)
+                (nbr, 0 if own is None else own[0] if len(set(own)) == 1 else None, ci)
+                for (ci, _), (nbr, own) in zip(group, cands)
             ]
             for group, cands in zip(groups, local)
         ]
         for combo in product(*rows):
             if deadline is not None and time.monotonic() > deadline:
-                return examined, found, False
-            examined += 1
+                return examined, list(found.items()), False
+            examined += weight
             common = None
             for k, value in enumerate(glob):
                 own = combo[k][1]
@@ -213,8 +266,36 @@ def _scan_task(args) -> tuple[int, list[tuple[int, tuple[PartDescriptor, ...]]],
                 elif value != common:
                     break
             else:
-                found.append((sum(c[2] for c in combo), tuple(c[3] for c in combo)))
-    return examined, found, True
+                for hit in orbit(tuple(c[2] for c in combo), moves):
+                    found[sum(map(mul, hit, strides))] = tuple(map(getitem, cand_lists, hit))
+    return examined, list(found.items()), True
+
+
+def _run_pool(tasks, jobs: int, deadline: float | None) -> tuple[list, bool]:
+    """Run ``_scan_task`` on each of ``tasks`` in a process pool.
+
+    Returns the results in task order, and whether every task was sent.
+    About two tasks per worker wait at once, so ``tasks`` is drawn as
+    the pool frees up, and none is sent once the deadline has passed.
+    """
+    # Imported here: the pool pulls in multiprocessing, which only
+    # parallel searches need.
+    from concurrent.futures import ProcessPoolExecutor
+
+    results = []
+    waiting: deque = deque()
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        for task in tasks:
+            if deadline is not None and time.monotonic() > deadline:
+                sent = False
+                break
+            waiting.append(pool.submit(_scan_task, task))
+            if len(waiting) > 2 * jobs:
+                results.append(waiting.popleft().result())
+        else:
+            sent = True
+        results.extend(f.result() for f in waiting)
+    return results, sent
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +307,13 @@ def search_blowups(
 ) -> SearchReport:
     """Test every in-budget part assignment on ``base`` for uniformity.
 
-    ``specs_examined`` counts assignments actually tested (pruned and
-    over-size ones are outside the budgeted space).  ``exhausted`` is
-    True iff the whole space was covered, so an empty ``found`` with
-    ``exhausted=True`` is a proof within the budget.
+    ``specs_examined`` counts the assignments decided: those screened,
+    and those decided with them by symmetry, one per screened assignment
+    in every other size tuple of its size tuple's orbit under Aut(base).
+    Pruned and over-size assignments are outside the budgeted space.  A
+    finished search has decided every assignment in the space exactly
+    once.  ``exhausted`` is True iff the whole space was covered, so an
+    empty ``found`` with ``exhausted=True`` is a proof within the budget.
     """
     if base.n < 2:
         raise ValueError("search base needs at least two vertices")
@@ -244,28 +328,31 @@ def search_blowups(
         else:
             cand_lists.append(cands)
     space = prod(len(c) for c in cand_lists)
-    tuples = prod(len({c.size for c in cands}) for cands in cand_lists)
+    sizes = [list(dict.fromkeys(c.size for c in cands)) for cands in cand_lists]
+    tuples = prod(map(len, sizes))
+    # An automorphism maps cut vertices to cut vertices, so it maps
+    # cand_lists onto itself.  The orbit listing holds the members of
+    # listed orbits that product order has not reached, up to one per
+    # size tuple; past the cap every size tuple is screened, as if
+    # Aut(base) were trivial.
+    order, gens = automorphisms(base) if tuples <= _ORBIT_TUPLE_CAP else (1, ())
+    reps = _size_orbits(sizes, gens, budget.max_total_vertices)
     # CLOCK_MONOTONIC is system-wide, so workers can compare against a
     # deadline taken here, and a wall-clock step cannot move it.
     deadline = time.monotonic() + budget.time_limit if budget.time_limit is not None else None
 
-    # one task run inline, or about eight size-tuple ranges per worker
-    # for a process pool; an empty space (no candidate fits a cut
-    # vertex) still needs a step
-    chunk = max(1, tuples if jobs <= 1 or space < 256 else -(-tuples // (jobs * 8)))
-    tasks = [
-        (base, cand_lists, lo, min(lo + chunk, tuples), budget.max_total_vertices, deadline)
-        for lo in range(0, tuples, chunk)
-    ]
-    if len(tasks) > 1:
-        # Imported here: the pool pulls in multiprocessing, which only
-        # parallel searches need.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_task, tasks))
+    # one task run inline, or slices of the orbits for a process pool;
+    # there are at least tuples / order orbits, so a slice is at most an
+    # eighth of a worker's share.  Either way the orbits are listed as
+    # the screen needs them.
+    if jobs <= 1 or space < 256:
+        results = [_scan_task((base, cand_lists, gens, reps, deadline))]
+        listed = True
     else:
-        results = list(map(_scan_task, tasks))
+        size = min(_POOL_SLICE_CAP, -(-tuples // (order * jobs * 8)))
+        slices = iter(lambda: list(islice(reps, size)), [])
+        tasks = ((base, cand_lists, gens, piece, deadline) for piece in slices)
+        results, listed = _run_pool(tasks, jobs, deadline)
     # tasks screen in size-tuple order; the hits are reported in
     # assignment order
     hits = sorted((hit for _, task_hits, _ in results for hit in task_hits), key=lambda h: h[0])
@@ -276,7 +363,7 @@ def search_blowups(
         base=base,
         budget=budget,
         found=found,
-        exhausted=all(completed for _, _, completed in results),
+        exhausted=listed and all(completed for _, _, completed in results),
         specs_examined=sum(examined for examined, _, _ in results),
     )
 

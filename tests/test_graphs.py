@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bugraph.graphs import (
     Graph,
     Graph6Error,
+    automorphisms,
     bfs_distances,
     canonical_form,
     canonical_relabel,
@@ -223,6 +224,49 @@ class TestCanonical:
         c6 = generate("cycle", 6)
         two_triangles = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
         assert not is_isomorphic(c6, two_triangles)
+
+
+def _generated_group(n: int, gens) -> set[tuple[int, ...]]:
+    group = {tuple(range(n))}
+    frontier = list(group)
+    for x in frontier:
+        for p in gens:
+            y = tuple(p[v] for v in x)
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    return group
+
+
+class TestAutomorphisms:
+    @pytest.mark.parametrize("n", range(7))
+    def test_group_matches_brute_force(self, n):
+        # every class, and the class with its vertices reversed, so the
+        # BFS order is not always the canonical one
+        for c in enumerate_graphs(n):
+            for g in (c, c.relabel(tuple(reversed(range(n))))):
+                edges = set(g.edges)
+                brute = {
+                    p
+                    for p in permutations(range(n))
+                    if all(tuple(sorted((p[u], p[v]))) in edges for u, v in g.edges)
+                }
+                order, gens = automorphisms(g)
+                assert order == len(brute)
+                assert len(gens) <= n * (n - 1) // 2
+                assert _generated_group(n, gens) == brute
+
+    def test_large_group_from_few_generators(self):
+        # the symmetric group on the 8 leaves, never listed element by element
+        order, gens = automorphisms(generate("star", 8))
+        assert order == 40320
+        assert 0 < len(gens) <= 8 * 7 // 2
+        assert all(p[8] == 8 for p in gens)
+
+    def test_cached_per_graph(self):
+        g = generate("cycle", 6)
+        assert automorphisms(g) is automorphisms(Graph(6, g.edges))
+        assert automorphisms(g)[0] == 12
 
 
 def _brute_classes(n: int) -> list[Graph]:

@@ -20,16 +20,22 @@ from bugraph.blowup import (
 )
 from bugraph.graphs import (
     Graph,
+    automorphisms,
+    cut_vertices,
     diameter,
     enumerate_graphs,
+    enumerate_trees,
     generate,
+    is_connected,
     is_isomorphic,
     parse_graph6,
     serialize_graph6,
 )
+import bugraph.search
 from bugraph.search import (
     SearchBudget,
     _scan_task,
+    _size_orbits,
     candidate_parts,
     explore_cut_conjecture,
     lemma_table,
@@ -43,6 +49,18 @@ from bugraph.search import (
 from test_blowup import blowup_specs
 
 
+def _every_tuple(cand_lists):
+    # every size tuple in product order, each standing for itself alone
+    sizes = [list(dict.fromkeys(c.size for c in cands)) for cands in cand_lists]
+    return [(t, 1) for t in product(*sizes)]
+
+
+def _orbit_reps(base, cand_lists):
+    # one size tuple per orbit of Aut(base), as search_blowups lists them
+    sizes = [list(dict.fromkeys(c.size for c in cands)) for cands in cand_lists]
+    return list(_size_orbits(sizes, automorphisms(base)[1], None))
+
+
 class TestScreen:
     @given(blowup_specs(max_base=4, max_part=3))
     @settings(max_examples=60, deadline=None)
@@ -54,7 +72,8 @@ class TestScreen:
     @settings(max_examples=60, deadline=None)
     def test_uniform_verdict_matches_exact(self, spec):
         want = is_betweenness_uniform(blow_up(spec).graph).uniform
-        _, found, _ = _scan_task((spec.base, [(p,) for p in spec.parts], 0, 1, None, None))
+        sizes = tuple(p.size for p in spec.parts)
+        _, found, _ = _scan_task((spec.base, [(p,) for p in spec.parts], (), [(sizes, 1)], None))
         assert bool(found) == want
 
     @pytest.mark.parametrize(
@@ -64,20 +83,26 @@ class TestScreen:
     def test_verdict_matches_exact_on_every_spec(self, graph6, family, max_size):
         # every assignment, cut vertices included, in the screen's own
         # order; the two "all" bases with size-3 parts bring explicit
-        # parts whose own shares differ
+        # parts whose own shares differ.  Screening every size tuple and
+        # screening one per orbit of Aut(base) must both give the verdicts.
         base = parse_graph6(graph6)
         cands = candidate_parts(SearchBudget(part_family=family, max_part_size=max_size))
+        cand_lists = (cands,) * base.n
         specs = list(product(cands, repeat=base.n))
-        tuples = len({c.size for c in cands}) ** base.n
-        examined, found, completed = _scan_task((base, (cands,) * base.n, 0, tuples, None, None))
-        assert completed and examined == len(specs)
         want = [
             i
             for i, parts in enumerate(specs)
             if is_betweenness_uniform(blow_up(BlowupSpec(base, parts)).graph).uniform
         ]
-        assert sorted(i for i, _ in found) == want
-        assert all(specs[i] == parts for i, parts in found)
+        gens = automorphisms(base)[1]
+        for job in (
+            (base, cand_lists, (), _every_tuple(cand_lists), None),
+            (base, cand_lists, gens, _orbit_reps(base, cand_lists), None),
+        ):
+            examined, found, completed = _scan_task(job)
+            assert completed and examined == len(specs)
+            assert sorted(i for i, _ in found) == want
+            assert all(specs[i] == parts for i, parts in found)
 
     def test_specs_sharing_a_size_tuple_get_their_own_verdicts(self):
         # (2, 1, 1) on the triangle: K2 in the first part blows up to K_4,
@@ -88,27 +113,36 @@ class TestScreen:
         assert "Bw[I2,I1,I1]" not in labels
         # the same pair met in the other order within one scan
         i1, i2, k2 = candidate_parts(SearchBudget(part_family="ik", max_part_size=2))
-        job = (generate("cycle", 3), ((k2, i2), (i1,), (i1,)), 0, 1, None, None)
+        job = (generate("cycle", 3), ((k2, i2), (i1,), (i1,)), (), [((2, 1, 1), 1)], None)
         _, found, _ = _scan_task(job)
         assert found == [(0, (k2, i1, i1))]
 
     def test_chunks_line_up_with_the_odometer(self):
-        # one scan over all 27 size tuples finds and examines what 27
-        # one-tuple scans do, once their hits are merged and sorted
+        # one scan over all 27 size tuples, or over the 10 orbits of the
+        # triangle's symmetric group, finds and examines what one-tuple
+        # scans do, once their hits are merged and sorted
+        base = generate("cycle", 3)
         cands = candidate_parts(SearchBudget(part_family="all", max_part_size=3))
-        job = (generate("cycle", 3), (cands,) * 3)
-        examined, whole, _ = _scan_task((*job, 0, 27, None, None))
-        pieces = [_scan_task((*job, lo, lo + 1, None, None)) for lo in range(27)]
-        assert examined == sum(e for e, _, _ in pieces) == len(cands) ** 3
-        assert whole and sorted(hit for _, hits, _ in pieces for hit in hits) == sorted(whole)
-        assert _scan_task((*job, 27, 28, None, None)) == (0, [], True)
+        cand_lists = (cands,) * 3
+        for gens, reps, count in (
+            ((), _every_tuple(cand_lists), 27),
+            (automorphisms(base)[1], _orbit_reps(base, cand_lists), 10),
+        ):
+            assert len(reps) == count
+            examined, whole, _ = _scan_task((base, cand_lists, gens, reps, None))
+            pieces = [_scan_task((base, cand_lists, gens, [r], None)) for r in reps]
+            assert examined == sum(e for e, _, _ in pieces) == len(cands) ** 3
+            assert whole and sorted(hit for _, hits, _ in pieces for hit in hits) == sorted(whole)
+            assert _scan_task((base, cand_lists, gens, [], None)) == (0, [], True)
 
     def test_deadline_inside_one_size_tuple(self):
         # the 34 classes on five vertices at every vertex of the 5-cycle:
         # one size tuple of 34**5 assignments, which must still stop on time
         cands = tuple(PartDescriptor.for_graph(h) for h in enumerate_graphs(5))
         assert len(cands) == 34
-        job = (generate("cycle", 5), (cands,) * 5, 0, 1, None, time.monotonic() + 0.2)
+        base = generate("cycle", 5)
+        reps = [((5,) * 5, 1)]
+        job = (base, (cands,) * 5, automorphisms(base)[1], reps, time.monotonic() + 0.2)
         examined, _, completed = _scan_task(job)
         assert not completed and examined < 34**5
 
@@ -127,10 +161,122 @@ class TestScreen:
         assert sum(values) == 40**2 * cross + 14 * comb(40, 2)
 
 
+def _criterion_bases():
+    # the bases of verify-paper criteria 10 (trees of diameter >= 3, I/K
+    # parts on <= 6 vertices, all parts on <= 5) and 12 (cut-vertex bases
+    # of diameter >= 3 on <= 5 vertices), with their budgets
+    ik4 = SearchBudget(part_family="ik", max_part_size=4)
+    all3 = SearchBudget(part_family="all", max_part_size=3)
+    trees = [t for n in range(4, 7) for t in enumerate_trees(n) if diameter(t) >= 3]
+    cut = [
+        g
+        for n in range(4, 6)
+        for g in enumerate_graphs(n)
+        if is_connected(g) and cut_vertices(g) and diameter(g) >= 3
+    ]
+    return (
+        [(t, ik4) for t in trees]
+        + [(t, all3) for t in trees if t.n <= 5]
+        + [(g, ik4) for g in cut]
+    )
+
+
+def _search_both_ways(monkeypatch, base, budget, jobs=1):
+    # the search as it runs, and with Aut(base) taken as the identity
+    reduced = search_blowups(base, budget, jobs=jobs)
+    with monkeypatch.context() as m:
+        m.setattr(bugraph.search, "automorphisms", lambda g: (1, ()))
+        full = search_blowups(base, budget, jobs=jobs)
+    return reduced, full
+
+
+class TestOrbitScreen:
+    @pytest.mark.parametrize(
+        "base, budget",
+        _criterion_bases(),
+        ids=lambda x: serialize_graph6(x) if isinstance(x, Graph) else x.part_family,
+    )
+    def test_matches_unreduced_search_on_criterion_bases(self, monkeypatch, base, budget):
+        reduced, full = _search_both_ways(monkeypatch, base, budget)
+        assert reduced.exhausted and full.exhausted
+        assert reduced.specs_examined == full.specs_examined
+        assert reduced.found == full.found == []
+
+    # bases with hits, so the hits' images under Aut(base) are checked
+    # too; CF and Dhc also run through the pool
+    @pytest.mark.parametrize(
+        "graph6, family, max_size, jobs, hits",
+        [
+            ("Bg", "ik", 6, 1, 15),
+            ("CF", "ik", 4, 2, 4),
+            ("Dhc", "ik", 4, 2, 7),
+            ("Dhc", "all", 2, 1, 3),
+            ("Bw", "all", 3, 1, 30),
+            ("C~", "ik", 3, 1, 83),
+        ],
+    )
+    def test_matches_unreduced_search_with_hits(
+        self, monkeypatch, graph6, family, max_size, jobs, hits
+    ):
+        budget = SearchBudget(part_family=family, max_part_size=max_size)
+        reduced, full = _search_both_ways(monkeypatch, parse_graph6(graph6), budget, jobs)
+        assert reduced.exhausted and full.exhausted
+        assert reduced.specs_examined == full.specs_examined
+        assert reduced.found == full.found
+        assert len(reduced.found) == hits
+
+    def test_past_the_cap_every_size_tuple_is_screened(self, monkeypatch):
+        base = parse_graph6("CF")
+        budget = SearchBudget(part_family="ik", max_part_size=4)
+        reduced = search_blowups(base, budget)
+        monkeypatch.setattr(bugraph.search, "_ORBIT_TUPLE_CAP", 63)
+
+        def unused(g):
+            raise AssertionError("automorphisms computed past the cap")
+
+        monkeypatch.setattr(bugraph.search, "automorphisms", unused)
+        capped = search_blowups(base, budget)
+        assert (capped.found, capped.specs_examined, capped.exhausted) == (
+            reduced.found,
+            reduced.specs_examined,
+            reduced.exhausted,
+        )
+
+    def test_star_screens_one_size_tuple_per_orbit(self):
+        # 4 * 5**8 assignments over 2 * 3**8 size tuples; the symmetric
+        # group on the 8 leaves leaves 2 * C(10, 2) orbits to screen
+        # (the every-tuple screen took about 5 s on a 2-core host, the
+        # orbit screen about 0.1 s)
+        base = generate("star", 8)
+        budget = SearchBudget(part_family="ik", max_part_size=3)
+        sizes = [[1, 2, 3]] * 8 + [[2, 3]]
+        reps = list(_size_orbits(sizes, automorphisms(base)[1], None))
+        assert len(reps) == 90
+        assert sum(w for _, w in reps) == 2 * 3**8
+        start = time.perf_counter()
+        rep = search_blowups(base, budget)
+        assert time.perf_counter() - start < 2.5
+        assert rep.exhausted and rep.found == []
+        assert rep.specs_examined == 4 * 5**8
+
+    def test_over_size_orbits_are_skipped_whole(self):
+        sizes = [[1, 2, 3]] * 3
+        gens = automorphisms(generate("cycle", 3))[1]
+        reps = list(_size_orbits(sizes, gens, 5))
+        assert [t for t, _ in reps] == [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2)]
+        assert [w for _, w in reps] == [1, 3, 3, 3]
+
+
 class TestCandidates:
     def test_ik_order_and_dedup(self):
         b = SearchBudget(part_family="ik", max_part_size=3)
         assert [c.label() for c in candidate_parts(b)] == ["I1", "I2", "K2", "I3", "K3"]
+
+    def test_budgets_share_one_candidate_tuple(self):
+        a = candidate_parts(SearchBudget(part_family="all", max_part_size=3))
+        b = candidate_parts(SearchBudget(part_family="all", max_part_size=3, time_limit=5))
+        assert a is b
+        assert candidate_parts(SearchBudget(part_family="ik", max_part_size=3)) is not a
 
     def test_all_family_covers_every_class(self):
         b = SearchBudget(part_family="all", max_part_size=3)
@@ -201,9 +347,9 @@ class TestSearch:
         rep = search_blowups(generate("cycle", 3), SearchBudget(part_family="ik", max_part_size=2))
         assert "Bw[K2,I1,I1]" in {s.label() for s in rep.found}
 
-    # 1764 and 294 specs over 144 and 18 size tuples, in chunks of 9 and
-    # 2 tuples, so the pool gets 16 and 9 tasks and most start in the
-    # middle of the size-tuple odometer; the path3 budget has hits.  With
+    # 1764 and 294 specs over 144 and 18 size tuples, which the reversal
+    # folds into 78 and 12 orbits; in slices of 5 and 1 orbits the pool
+    # gets 16 and 12 tasks; the path3 budget has hits.  With
     # parts of size 1 only, the cut vertex of path3 has no candidate, so
     # the space is empty and must still read as exhausted.
     @pytest.mark.parametrize(
@@ -225,11 +371,12 @@ class TestSearch:
         assert json.dumps(report_to_json(r1)) == json.dumps(report_to_json(r2))
 
     def test_time_limit_partial(self):
-        rep = search_blowups(
-            generate("path", 4),
-            SearchBudget(part_family="ik", max_part_size=4, time_limit=1e-9),
-        )
-        assert not rep.exhausted
+        # through the pool too, where the deadline passes before any
+        # task is sent, so no task can report it
+        budget = SearchBudget(part_family="ik", max_part_size=4, time_limit=1e-9)
+        for jobs in (1, 2):
+            rep = search_blowups(generate("path", 4), budget, jobs=jobs)
+            assert not rep.exhausted
 
     def test_max_total_vertices(self):
         b_all = SearchBudget(part_family="ik", max_part_size=4)
