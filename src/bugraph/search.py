@@ -12,23 +12,23 @@ uniform iff every vertex gets the same numerator; the screen stops at
 the first part that differs.
 
 Symmetry: an automorphism pi of the base maps an assignment A to
-A o pi, which is uniform iff A is, and it maps the candidate lists onto
-themselves.  So the search lists one size tuple per orbit of Aut(base),
-the first in ``itertools.product`` order, with the orbit's size as its
-weight.  A scan task makes that one call per listed size tuple and
-screens every assignment of the tuple's candidates, so I_m and K_m
-candidates, and all explicit classes of one size, share one plan run.
-Each screened assignment counts as ``weight`` examined specs, and each
-hit brings every image of it under Aut(base).  Each hit carries its
-index in the ``itertools.product`` order of whole assignments, last
-base vertex fastest, and the search sorts the hits by it.  The group
-comes from ``graphs.automorphisms`` as a few generators, and orbits are
-closed under those, so the work does not grow with the group's order.
-The work per assignment does not grow with part sizes.  A serial
-search is one scan task run inline; a parallel one hands slices of the
-listed size tuples to a process pool.  Every positive is then
-re-verified twice over, with the two independent betweenness
-algorithms on the built graph, before it is reported.
+A o pi, which is uniform iff A is, with an isomorphic blow-up, and it
+maps the candidate lists onto themselves.  So the search lists one size
+tuple per orbit of Aut(base), the first in ``itertools.product`` order,
+with the orbit's size as its weight.  A scan task makes that one call
+per listed size tuple and screens every assignment of the tuple's
+candidates, so I_m and K_m candidates, and all explicit classes of one
+size, share one plan run.  Each screened assignment counts as
+``weight`` examined specs, and a task returns its hits as bare tuples
+of candidate indices.  Only ``search_blowups`` knows the group: it
+verifies one hit per orbit, twice over, with the two independent
+betweenness algorithms on the built graph, and reports every image in
+assignment order, last base vertex fastest.  The group comes from
+``graphs.automorphisms`` as a few generators, and orbits are closed
+under those, so the work does not grow with the group's order.  The
+work per assignment does not grow with part sizes.  A serial search is
+one scan task run inline; a parallel one hands slices of the listed
+size tuples to a process pool.
 
 Pruning: a size-1 part on a base *cut vertex* leaves a cut vertex in
 the blown-up graph, and no uniform graph on three or more vertices has
@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
 from math import inf, prod
-from operator import getitem, itemgetter, mul
+from operator import getitem, itemgetter
 
 from .betweenness import betweenness_exact, betweenness_oracle, profile_uniformity
 from .blowup import (
@@ -183,17 +183,17 @@ def _verify_hit(spec: BlowupSpec) -> None:
         raise RuntimeError(f"betweenness algorithms disagree on {spec.label()}")
 
 
-def _size_orbits(sizes, gens, max_total):
+def _size_orbits(sizes, moves, max_total):
     """Yield ``(sizes, weight)``: the first size tuple of each orbit of
     Aut(base) in ``itertools.product`` order over ``sizes``, with the
     orbit's size.
 
-    A group generator p maps a tuple t to ``t[p[0]], t[p[1]], ...``.
-    Tuples over ``max_total`` are skipped; the total is the same on a
-    whole orbit.  Only the members of orbits already yielded that
-    product order has not reached yet are held.
+    ``moves`` generate the group: ``itemgetter(*p)`` for a generator p
+    maps a tuple t to ``t[p[0]], t[p[1]], ...``.  Tuples over
+    ``max_total`` are skipped; the total is the same on a whole orbit.
+    Only the members of orbits already yielded that product order has
+    not reached yet are held.
     """
-    moves = [itemgetter(*p) for p in gens]
     ahead: set[tuple[int, ...]] = set()
     for t in product(*sizes):
         if max_total is not None and sum(t) > max_total:
@@ -206,26 +206,20 @@ def _size_orbits(sizes, gens, max_total):
         yield t, len(members)
 
 
-def _scan_task(args) -> tuple[int, list[tuple[int, tuple[PartDescriptor, ...]]], bool]:
-    """Screen the size tuples ``reps`` lists, and account for their orbits.
+def _scan_task(args) -> tuple[int, list[tuple[int, ...]], bool]:
+    """Screen the size tuples ``reps`` lists.
 
-    ``args`` is ``(base, cand_lists, gens, reps, deadline)``: ``gens``
-    generates Aut(base), under which ``cand_lists`` must be invariant,
-    and ``reps`` yields ``(sizes, weight)`` pairs, ``weight`` being the
-    size of the orbit of ``sizes``.  Each tuple gets one ``numerators``
-    call, and every assignment of its candidates is screened: it is
-    uniform iff every vertex of its blow-up gets the same numerator over
-    the tuple's common denominator.  Each screened assignment decides
-    ``weight`` assignments, itself and one in every other size tuple of
-    the orbit, so it adds ``weight`` to the examined count.  A hit adds
-    itself and every other image under Aut(base), each with its index in
-    ``itertools.product`` order over ``cand_lists``.
+    ``args`` is ``(base, cand_lists, reps, deadline)``: ``reps`` yields
+    ``(sizes, weight)`` pairs.  Each tuple gets one ``numerators`` call,
+    and every assignment of its candidates is screened: it is uniform
+    iff every vertex of its blow-up gets the same numerator over the
+    tuple's common denominator.  Each screened assignment adds
+    ``weight`` to the examined count.  A hit is the tuple of its
+    candidates' indices in ``cand_lists``, in screening order.
     """
-    base, cand_lists, gens, reps, deadline = args
+    base, cand_lists, reps, deadline = args
     plan = geodesic_plan(base)
     adj = base.adjacency
-    strides = [prod(map(len, cand_lists[j + 1 :])) for j in range(len(cand_lists))]
-    moves = [itemgetter(*p) for p in gens]
     # slots[j][s]: vertex j's candidates of size s, each with its index
     # in cand_lists[j]
     slots = []
@@ -235,7 +229,7 @@ def _scan_task(args) -> tuple[int, list[tuple[int, tuple[PartDescriptor, ...]]],
             slot.setdefault(cand.size, []).append((ci, cand))
         slots.append(slot)
     examined = 0
-    found: dict[int, tuple[PartDescriptor, ...]] = {}
+    hits: list[tuple[int, ...]] = []
     for sizes, weight in reps:
         groups = [slot[s] for slot, s in zip(slots, sizes)]
         _, glob, local = plan.numerators([[cand for _, cand in g] for g in groups])
@@ -251,7 +245,7 @@ def _scan_task(args) -> tuple[int, list[tuple[int, tuple[PartDescriptor, ...]]],
         ]
         for combo in product(*rows):
             if deadline is not None and time.monotonic() > deadline:
-                return examined, list(found.items()), False
+                return examined, hits, False
             examined += weight
             common = None
             for k, value in enumerate(glob):
@@ -266,9 +260,8 @@ def _scan_task(args) -> tuple[int, list[tuple[int, tuple[PartDescriptor, ...]]],
                 elif value != common:
                     break
             else:
-                for hit in orbit(tuple(c[2] for c in combo), moves):
-                    found[sum(map(mul, hit, strides))] = tuple(map(getitem, cand_lists, hit))
-    return examined, list(found.items()), True
+                hits.append(tuple(c[2] for c in combo))
+    return examined, hits, True
 
 
 def _run_pool(tasks, jobs: int, deadline: float | None) -> tuple[list, bool]:
@@ -302,9 +295,7 @@ def _run_pool(tasks, jobs: int, deadline: float | None) -> tuple[list, bool]:
 # the search proper
 
 
-def search_blowups(
-    base: Graph, budget: SearchBudget, *, jobs: int = 1, prune: bool = True
-) -> SearchReport:
+def search_blowups(base: Graph, budget: SearchBudget, *, jobs: int = 1) -> SearchReport:
     """Test every in-budget part assignment on ``base`` for uniformity.
 
     ``specs_examined`` counts the assignments decided: those screened,
@@ -314,13 +305,15 @@ def search_blowups(
     finished search has decided every assignment in the space exactly
     once.  ``exhausted`` is True iff the whole space was covered, so an
     empty ``found`` with ``exhausted=True`` is a proof within the budget.
+    ``found`` lists every hit in assignment order; one per orbit of
+    Aut(base) is verified, as its images have isomorphic blow-ups.
     """
     if base.n < 2:
         raise ValueError("search base needs at least two vertices")
     if not is_connected(base):
         raise ValueError("search base must be connected")
     cands = candidate_parts(budget)
-    cuts = set(cut_vertices(base)) if prune else set()
+    cuts = set(cut_vertices(base))
     cand_lists = []
     for v in range(base.n):
         if v in cuts:
@@ -336,7 +329,8 @@ def search_blowups(
     # size tuple; past the cap every size tuple is screened, as if
     # Aut(base) were trivial.
     order, gens = automorphisms(base) if tuples <= _ORBIT_TUPLE_CAP else (1, ())
-    reps = _size_orbits(sizes, gens, budget.max_total_vertices)
+    moves = [itemgetter(*p) for p in gens]
+    reps = _size_orbits(sizes, moves, budget.max_total_vertices)
     # CLOCK_MONOTONIC is system-wide, so workers can compare against a
     # deadline taken here, and a wall-clock step cannot move it.
     deadline = time.monotonic() + budget.time_limit if budget.time_limit is not None else None
@@ -346,19 +340,22 @@ def search_blowups(
     # eighth of a worker's share.  Either way the orbits are listed as
     # the screen needs them.
     if jobs <= 1 or space < 256:
-        results = [_scan_task((base, cand_lists, gens, reps, deadline))]
+        results = [_scan_task((base, cand_lists, reps, deadline))]
         listed = True
     else:
         size = min(_POOL_SLICE_CAP, -(-tuples // (order * jobs * 8)))
         slices = iter(lambda: list(islice(reps, size)), [])
-        tasks = ((base, cand_lists, gens, piece, deadline) for piece in slices)
+        tasks = ((base, cand_lists, piece, deadline) for piece in slices)
         results, listed = _run_pool(tasks, jobs, deadline)
-    # tasks screen in size-tuple order; the hits are reported in
-    # assignment order
-    hits = sorted((hit for _, task_hits, _ in results for hit in task_hits), key=lambda h: h[0])
-    found = [BlowupSpec(base=base, parts=parts) for _, parts in hits]
-    for spec in found:
-        _verify_hit(spec)
+    # each orbit's first screened hit is verified, and all of its images
+    # are listed; sorted index tuples are in assignment order
+    images: set[tuple[int, ...]] = set()
+    for _, hits, _ in results:
+        for hit in hits:
+            if hit not in images:
+                _verify_hit(BlowupSpec(base, tuple(map(getitem, cand_lists, hit))))
+                images.update(orbit(hit, moves))
+    found = [BlowupSpec(base, tuple(map(getitem, cand_lists, hit))) for hit in sorted(images)]
     return SearchReport(
         base=base,
         budget=budget,

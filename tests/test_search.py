@@ -6,6 +6,7 @@ import json
 import time
 from itertools import product
 from math import comb
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from bugraph.graphs import (
     generate,
     is_connected,
     is_isomorphic,
+    orbit,
     parse_graph6,
     serialize_graph6,
 )
@@ -55,10 +57,33 @@ def _every_tuple(cand_lists):
     return [(t, 1) for t in product(*sizes)]
 
 
+def _moves(base):
+    # the generators of Aut(base) as maps on tuples, as search_blowups
+    # builds them
+    return [itemgetter(*p) for p in automorphisms(base)[1]]
+
+
 def _orbit_reps(base, cand_lists):
     # one size tuple per orbit of Aut(base), as search_blowups lists them
     sizes = [list(dict.fromkeys(c.size for c in cands)) for cands in cand_lists]
-    return list(_size_orbits(sizes, automorphisms(base)[1], None))
+    return list(_size_orbits(sizes, _moves(base), None))
+
+
+def _uniform_assignments(base, cand_lists):
+    # brute force: the index tuples of every uniform assignment, in
+    # assignment order
+    return [
+        hit
+        for hit in product(*(range(len(cands)) for cands in cand_lists))
+        if is_betweenness_uniform(
+            blow_up(BlowupSpec(base, tuple(c[i] for c, i in zip(cand_lists, hit)))).graph
+        ).uniform
+    ]
+
+
+def _images(hits, moves):
+    # every image of the screened hits under the group, in assignment order
+    return sorted({image for hit in hits for image in orbit(hit, moves)})
 
 
 class TestScreen:
@@ -73,7 +98,7 @@ class TestScreen:
     def test_uniform_verdict_matches_exact(self, spec):
         want = is_betweenness_uniform(blow_up(spec).graph).uniform
         sizes = tuple(p.size for p in spec.parts)
-        _, found, _ = _scan_task((spec.base, [(p,) for p in spec.parts], (), [(sizes, 1)], None))
+        _, found, _ = _scan_task((spec.base, [(p,) for p in spec.parts], [(sizes, 1)], None))
         assert bool(found) == want
 
     @pytest.mark.parametrize(
@@ -83,26 +108,21 @@ class TestScreen:
     def test_verdict_matches_exact_on_every_spec(self, graph6, family, max_size):
         # every assignment, cut vertices included, in the screen's own
         # order; the two "all" bases with size-3 parts bring explicit
-        # parts whose own shares differ.  Screening every size tuple and
-        # screening one per orbit of Aut(base) must both give the verdicts.
+        # parts whose own shares differ.  Screening every size tuple must
+        # give the verdicts, and screening one per orbit of Aut(base) must
+        # give them once its hits are closed under the group.
         base = parse_graph6(graph6)
         cands = candidate_parts(SearchBudget(part_family=family, max_part_size=max_size))
         cand_lists = (cands,) * base.n
-        specs = list(product(cands, repeat=base.n))
-        want = [
-            i
-            for i, parts in enumerate(specs)
-            if is_betweenness_uniform(blow_up(BlowupSpec(base, parts)).graph).uniform
-        ]
-        gens = automorphisms(base)[1]
-        for job in (
-            (base, cand_lists, (), _every_tuple(cand_lists), None),
-            (base, cand_lists, gens, _orbit_reps(base, cand_lists), None),
-        ):
-            examined, found, completed = _scan_task(job)
-            assert completed and examined == len(specs)
-            assert sorted(i for i, _ in found) == want
-            assert all(specs[i] == parts for i, parts in found)
+        want = _uniform_assignments(base, cand_lists)
+        examined, found, completed = _scan_task((base, cand_lists, _every_tuple(cand_lists), None))
+        assert completed and examined == len(cands) ** base.n
+        assert sorted(found) == want
+        examined, found, completed = _scan_task(
+            (base, cand_lists, _orbit_reps(base, cand_lists), None)
+        )
+        assert completed and examined == len(cands) ** base.n
+        assert _images(found, _moves(base)) == want
 
     def test_specs_sharing_a_size_tuple_get_their_own_verdicts(self):
         # (2, 1, 1) on the triangle: K2 in the first part blows up to K_4,
@@ -113,27 +133,30 @@ class TestScreen:
         assert "Bw[I2,I1,I1]" not in labels
         # the same pair met in the other order within one scan
         i1, i2, k2 = candidate_parts(SearchBudget(part_family="ik", max_part_size=2))
-        job = (generate("cycle", 3), ((k2, i2), (i1,), (i1,)), (), [((2, 1, 1), 1)], None)
+        job = (generate("cycle", 3), ((k2, i2), (i1,), (i1,)), [((2, 1, 1), 1)], None)
         _, found, _ = _scan_task(job)
-        assert found == [(0, (k2, i1, i1))]
+        assert found == [(0, 0, 0)]
 
     def test_chunks_line_up_with_the_odometer(self):
         # one scan over all 27 size tuples, or over the 10 orbits of the
         # triangle's symmetric group, finds and examines what one-tuple
-        # scans do, once their hits are merged and sorted
+        # scans do, once their hits are merged and sorted; closed under
+        # the group, either set of hits is every uniform assignment
         base = generate("cycle", 3)
         cands = candidate_parts(SearchBudget(part_family="all", max_part_size=3))
         cand_lists = (cands,) * 3
-        for gens, reps, count in (
-            ((), _every_tuple(cand_lists), 27),
-            (automorphisms(base)[1], _orbit_reps(base, cand_lists), 10),
+        want = _uniform_assignments(base, cand_lists)
+        for moves, reps, count in (
+            ([], _every_tuple(cand_lists), 27),
+            (_moves(base), _orbit_reps(base, cand_lists), 10),
         ):
             assert len(reps) == count
-            examined, whole, _ = _scan_task((base, cand_lists, gens, reps, None))
-            pieces = [_scan_task((base, cand_lists, gens, [r], None)) for r in reps]
+            examined, whole, _ = _scan_task((base, cand_lists, reps, None))
+            pieces = [_scan_task((base, cand_lists, [r], None)) for r in reps]
             assert examined == sum(e for e, _, _ in pieces) == len(cands) ** 3
             assert whole and sorted(hit for _, hits, _ in pieces for hit in hits) == sorted(whole)
-            assert _scan_task((base, cand_lists, gens, [], None)) == (0, [], True)
+            assert _images(whole, moves) == want
+        assert _scan_task((base, cand_lists, [], None)) == (0, [], True)
 
     def test_deadline_inside_one_size_tuple(self):
         # the 34 classes on five vertices at every vertex of the 5-cycle:
@@ -142,7 +165,7 @@ class TestScreen:
         assert len(cands) == 34
         base = generate("cycle", 5)
         reps = [((5,) * 5, 1)]
-        job = (base, (cands,) * 5, automorphisms(base)[1], reps, time.monotonic() + 0.2)
+        job = (base, (cands,) * 5, reps, time.monotonic() + 0.2)
         examined, _, completed = _scan_task(job)
         assert not completed and examined < 34**5
 
@@ -225,6 +248,31 @@ class TestOrbitScreen:
         assert reduced.found == full.found
         assert len(reduced.found) == hits
 
+    # one verification per orbit of hits under Aut(base): most of path3's
+    # hits pair up under the reversal, each of the 5-cycle's constant
+    # hits is its own orbit, and the 4-clique's 83 hits fall into 17
+    # orbits of its symmetric group.  On the 4-cycle the screen itself
+    # meets 69 hits, some of them images of one another within one size
+    # tuple, in 56 orbits.
+    @pytest.mark.parametrize(
+        "graph6, max_size, jobs, hits, verified",
+        [
+            ("Bg", 6, 1, 15, 9),
+            ("CF", 4, 1, 4, 2),
+            ("CF", 4, 2, 4, 2),
+            ("Dhc", 4, 1, 7, 7),
+            ("C~", 3, 1, 83, 17),
+            ("Cr", 5, 1, 221, 56),
+        ],
+    )
+    def test_one_hit_verified_per_orbit(self, monkeypatch, graph6, max_size, jobs, hits, verified):
+        calls = []
+        verify = bugraph.search._verify_hit
+        monkeypatch.setattr(bugraph.search, "_verify_hit", lambda spec: calls.append(verify(spec)))
+        budget = SearchBudget(part_family="ik", max_part_size=max_size)
+        rep = search_blowups(parse_graph6(graph6), budget, jobs=jobs)
+        assert (len(rep.found), len(calls)) == (hits, verified)
+
     def test_past_the_cap_every_size_tuple_is_screened(self, monkeypatch):
         base = parse_graph6("CF")
         budget = SearchBudget(part_family="ik", max_part_size=4)
@@ -250,7 +298,7 @@ class TestOrbitScreen:
         base = generate("star", 8)
         budget = SearchBudget(part_family="ik", max_part_size=3)
         sizes = [[1, 2, 3]] * 8 + [[2, 3]]
-        reps = list(_size_orbits(sizes, automorphisms(base)[1], None))
+        reps = list(_size_orbits(sizes, _moves(base), None))
         assert len(reps) == 90
         assert sum(w for _, w in reps) == 2 * 3**8
         start = time.perf_counter()
@@ -261,8 +309,7 @@ class TestOrbitScreen:
 
     def test_over_size_orbits_are_skipped_whole(self):
         sizes = [[1, 2, 3]] * 3
-        gens = automorphisms(generate("cycle", 3))[1]
-        reps = list(_size_orbits(sizes, gens, 5))
+        reps = list(_size_orbits(sizes, _moves(generate("cycle", 3)), 5))
         assert [t for t, _ in reps] == [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2)]
         assert [w for _, w in reps] == [1, 3, 3, 3]
 
@@ -334,10 +381,12 @@ class TestSearch:
         assert rep.specs_examined == 5 * 4 * 4 * 5
 
     @pytest.mark.parametrize("base", [generate("path", 2), generate("path", 3), generate("cycle", 3)])
-    def test_pruning_changes_nothing_found(self, base):
+    def test_pruning_changes_nothing_found(self, monkeypatch, base):
         b = SearchBudget(part_family="ik", max_part_size=3)
         pruned = search_blowups(base, b)
-        full = search_blowups(base, b, prune=False)
+        # with no cut vertices known, unit parts stay on every vertex
+        monkeypatch.setattr(bugraph.search, "cut_vertices", lambda g: [])
+        full = search_blowups(base, b)
         assert [s.label() for s in pruned.found] == [s.label() for s in full.found]
         assert pruned.specs_examined <= full.specs_examined
 
