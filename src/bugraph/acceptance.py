@@ -71,6 +71,9 @@ __all__ = ["CriterionResult", "run_suite", "CRITERIA"]
 
 _CORPUS_SEED = 20260819
 _CORPUS_SIZE = 200
+# Graph classes on n = 0..7 vertices (OEIS A000088): criterion 1 checks
+# that the enumeration it runs both engines over is complete.
+_GRAPH_CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044)
 
 
 class CriterionResult(namedtuple("CriterionResult", "number name passed detail seconds")):
@@ -118,8 +121,11 @@ def _record_search(reg: _Registry, source: str, report: SearchReport) -> None:
 
 def _c1_oracle_equivalence(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
     checked = 0
-    for n in range(8):
-        for g in enumerate_graphs(n):
+    for n, expected in enumerate(_GRAPH_CLASS_COUNTS):
+        classes = enumerate_graphs(n)
+        if len(classes) != expected:
+            return False, f"{len(classes)} graph classes on {n} vertices, expected {expected}"
+        for g in classes:
             exact = betweenness_exact(g)
             if exact != betweenness_oracle(g):
                 return False, f"algorithms disagree on {serialize_graph6(g)}"

@@ -4,7 +4,8 @@ Everything downstream builds on this module: ``Graph``, an immutable
 named tuple ``(n, edges)``, graph6 I/O, the classic generator
 families, structural predicates (connectivity, diameter,
 2-connectedness), exact isomorphism testing via canonical forms, and
-isomorphism-free enumeration of small graphs and trees.
+the isomorphism classes of small graphs and trees, read from a stored
+atlas of graph6 lines (``_atlas``).
 
 Vertices are always 0..n-1.  Edges are stored as sorted ``(u, v)``
 pairs with ``u < v``; parallel edges and loops are rejected outright.
@@ -40,9 +41,9 @@ __all__ = [
     "serialize_graph6",
 ]
 
-# Hard caps for whole-isomorphism-class enumeration.  The canonical-form
-# machinery below is fine a little past these sizes, but class counts grow
-# fast enough that anything larger deserves specialist tooling.
+# Hard caps for whole-isomorphism-class enumeration: the sizes the stored
+# atlas covers.  Class counts grow fast enough past them that anything
+# larger deserves specialist tooling.
 GRAPH_ENUM_CAP = 7
 TREE_ENUM_CAP = 10
 
@@ -564,80 +565,14 @@ def automorphisms(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
 # ---------------------------------------------------------------------------
 # enumeration up to isomorphism
 #
-# Every graph on n vertices arises from some graph on n-1 vertices by adding
-# one vertex with an arbitrary neighborhood, and every tree arises by
-# attaching one leaf.  Extending every class by every neighborhood (resp.
-# every attachment point) and deduplicating canonical forms therefore
-# covers all classes; ``_graph_classes`` skips the extensions that the
-# complement and maximum-degree arguments there make redundant.  Slow
-# compared to specialist generators, but exact and comfortably fast below
-# the caps.
-
-
-def _from_form(n: int, form: tuple[int, ...]) -> Graph:
-    # The graph whose slot k is adjacent to slot i < k iff bit k-1-i of
-    # form[k] is set: the canonical relabeling that produced ``form``.
-    edges = tuple((i, k) for k in range(1, n) for i in range(k) if form[k] >> (k - 1 - i) & 1)
-    return Graph(n, edges)
-
-
-def _forms(n: int, candidates) -> set[tuple[int, ...]]:
-    # Canonical forms of adjacency row masks on n vertices.
-    return {_canonical_search(n, bits)[1] for bits in candidates}
-
-
-def _in_form_order(n: int, forms) -> tuple[Graph, ...]:
-    # One Graph per class, in canonical-form order.
-    return tuple(_from_form(n, form) for form in sorted(forms))
+# The classes are read from the stored atlas (``_atlas``), one n at a time.
+# It is imported inside the functions, so that commands which never
+# enumerate do not load it.
 
 
 @lru_cache(maxsize=None)
-def _graph_classes(n: int) -> tuple[Graph, ...]:
-    if n <= 1:
-        return (Graph(n),)
-    top = 1 << (n - 1)
-    pairs = n * (n - 1) // 2
-
-    # A class with e edges has a complement with pairs - e, so only the
-    # sparse classes (2e <= pairs) are built by extension, and the dense
-    # ones are the complements of those with 2e < pairs.  Every class
-    # arises by adding a vertex of maximum degree, so a candidate whose
-    # new vertex is outdegreed by another vertex is skipped.
-    def sparse():
-        for g in _graph_classes(n - 1):
-            rows = g.adjacency_bits
-            degrees = [r.bit_count() for r in rows]
-            room = pairs // 2 - g.edge_count
-            for mask in range(top):
-                k = mask.bit_count()
-                if k <= room and all(d + (mask >> i & 1) <= k for i, d in enumerate(degrees)):
-                    yield tuple(r | top if mask >> i & 1 else r for i, r in enumerate(rows)) + (mask,)
-
-    def complements(forms):
-        full = (1 << n) - 1
-        for form in forms:
-            if 2 * sum(w.bit_count() for w in form) < pairs:
-                rows = _from_form(n, form).adjacency_bits
-                yield tuple(full ^ r ^ (1 << v) for v, r in enumerate(rows))
-
-    forms = _forms(n, sparse())
-    forms |= _forms(n, complements(forms))
-    return _in_form_order(n, forms)
-
-
-@lru_cache(maxsize=None)
-def _tree_classes(n: int) -> tuple[Graph, ...]:
-    if n == 1:
-        return (Graph(1),)
-    top = 1 << (n - 1)
-
-    def extended():
-        for t in _tree_classes(n - 1):
-            rows = t.adjacency_bits
-            for v in range(t.n):
-                yield rows[:v] + (rows[v] | top,) + rows[v + 1 :] + (1 << v,)
-
-    return _in_form_order(n, _forms(n, extended()))
+def _parse_classes(lines: str) -> tuple[Graph, ...]:
+    return tuple(map(parse_graph6, lines.split()))
 
 
 def enumerate_graphs(n: int) -> list[Graph]:
@@ -647,11 +582,15 @@ def enumerate_graphs(n: int) -> list[Graph]:
     """
     if not (0 <= n <= GRAPH_ENUM_CAP):
         raise ValueError(f"graph enumeration supports 0 <= n <= {GRAPH_ENUM_CAP}, got {n}")
-    return list(_graph_classes(n))
+    from ._atlas import GRAPHS
+
+    return list(_parse_classes(GRAPHS[n]))
 
 
 def enumerate_trees(n: int) -> list[Graph]:
     """All isomorphism classes of trees on n vertices (cap TREE_ENUM_CAP)."""
     if not (1 <= n <= TREE_ENUM_CAP):
         raise ValueError(f"tree enumeration supports 1 <= n <= {TREE_ENUM_CAP}, got {n}")
-    return list(_tree_classes(n))
+    from ._atlas import TREES
+
+    return list(_parse_classes(TREES[n]))

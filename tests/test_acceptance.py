@@ -37,11 +37,21 @@ def test_every_criterion_has_a_result(results):
 
 
 def test_corpus_and_lemma_details(results):
+    assert results[1].detail == "both algorithms agree on all 1253 classes with <= 7 vertices"
     assert results[6].detail == C6_PASS
     assert results[7].detail == C7_PASS
     assert results[8].detail == (
         "both extremal-part lemmas hold for m <= 4 over the full 27-point grids"
     )
+
+
+def test_criterion_1_names_an_incomplete_enumeration(monkeypatch):
+    # a class missing on 6 vertices fails criterion 1 before any engine
+    # runs on that n, and the detail names the n
+    real = acceptance.enumerate_graphs
+    monkeypatch.setattr(acceptance, "enumerate_graphs", lambda n: real(n)[1:] if n == 6 else real(n))
+    c1 = {number: fn for number, _, fn in CRITERIA}[1]
+    assert c1(_Registry(), "full", 1) == (False, "155 graph classes on 6 vertices, expected 156")
 
 
 def _corpus_criteria() -> tuple[tuple[bool, str], tuple[bool, str]]:

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bugraph
 from bugraph.graphs import (
+    GRAPH_ENUM_CAP,
+    TREE_ENUM_CAP,
     Graph,
     Graph6Error,
     automorphisms,
@@ -305,6 +312,12 @@ def _prufer_tree(seq: tuple[int, ...]) -> Graph:
     return Graph(n, tuple(edges))
 
 
+def _assert_canonical_and_ascending(n: int, classes: list[Graph]) -> None:
+    assert all(g.n == n and canonical_relabel(g) == g for g in classes)
+    forms = [canonical_form(g) for g in classes]
+    assert all(a < b for a, b in zip(forms, forms[1:]))
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156), (7, 1044)])
     def test_graph_counts(self, n, count):
@@ -325,7 +338,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", [5, 6])
     def test_classes_are_relabelings_of_every_labeled_graph(self, n):
         # Every labeled graph's canonical relabeling, in canonical-form
-        # order: no class lost to the complement or degree shortcuts.
+        # order: the atlas lists each class once and misses none.
         pairs = list(combinations(range(n), 2))
         reps = {
             canonical_relabel(Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1)))
@@ -350,6 +363,39 @@ class TestEnumeration:
             assert is_tree(t)
             seen.add(canonical_form(t))
         assert seen == {canonical_form(t) for t in ours}
+
+    @pytest.mark.parametrize("n", range(GRAPH_ENUM_CAP + 1))
+    def test_graph_classes_are_canonical_and_ascending(self, n):
+        # With the counts, this proves the atlas complete and free of
+        # repeats: distinct forms are distinct classes.
+        _assert_canonical_and_ascending(n, enumerate_graphs(n))
+
+    @pytest.mark.parametrize("n", range(1, TREE_ENUM_CAP + 1))
+    def test_tree_classes_are_canonical_and_ascending(self, n):
+        trees = enumerate_trees(n)
+        assert all(map(is_tree, trees))
+        _assert_canonical_and_ascending(n, trees)
+
+    def test_atlas_covers_exactly_the_caps(self):
+        from bugraph import _atlas
+
+        assert sorted(_atlas.GRAPHS) == list(range(GRAPH_ENUM_CAP + 1))
+        assert sorted(_atlas.TREES) == list(range(1, TREE_ENUM_CAP + 1))
+
+    def test_cli_start_does_not_load_the_atlas(self):
+        # enumeration imports the atlas on first use, so a cold start
+        # of a command that never enumerates does not read it
+        src = str(Path(bugraph.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, bugraph, bugraph.cli; print('bugraph._atlas' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_enumeration_is_deterministic(self):
         a = [serialize_graph6(g) for g in enumerate_graphs(5)]
