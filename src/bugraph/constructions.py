@@ -9,13 +9,24 @@ Families (all verifiable with ``is_betweenness_uniform``):
 * a star of independent sets whose center matches the leaf total.
 
 The infeasibility check works on a tuple (a, b, c, d) of part sizes
-for a blow-up of the 4-vertex path.  Uniformity would force two
-betweenness inequalities whose sum simplifies to
+for the blow-up K_a, I_b, I_c, K_d of the 4-vertex path.  Uniformity
+would force two betweenness inequalities,
 
-    0 >= a*c*(c+d) + b*d*(a+b),
+    C(b,2)/(a+c) >= a(c+d)/b + C(c,2)/(b+d),
+    C(c,2)/(b+d) >= d(a+b)/c + C(b,2)/(a+c).
 
-impossible for positive sizes.  Everything here is integer arithmetic;
-the rational inequalities are compared after clearing denominators.
+Cleared of their positive denominators they read s1 >= 0 and s2 >= 0,
+with integer slacks s1, s2 (``_p4_slacks``).  The C(b,2) and C(c,2)
+terms cancel in the weighted sum, which is the identity
+
+    c*s1 + b*s2 == -(a+c)*(b+d)*(a*c*(c+d) + b*d*(a+b)),
+
+negative for positive sizes, so the two never hold together.  Each
+side has degree <= 4 in every size, so agreement on the box {1..5}^4
+proves the identity for all sizes: a polynomial of degree <= k in each
+variable that vanishes on S^4 with |S| > k is zero (Alon,
+Combinatorial Nullstellensatz, 1999).  Acceptance criterion 9 checks
+it there.  Everything here is integer arithmetic.
 """
 
 from __future__ import annotations
@@ -124,26 +135,28 @@ def p4_infeasibility_check(t: P4SizeTuple) -> P4InfeasibilityReport:
     can never hold together (their sum reads 0 >= positive), which is
     asserted on every call.
     """
-    ineq1, ineq2, combined = _p4_inequalities(t.a, t.b, t.c, t.d)
-    return P4InfeasibilityReport(
-        tuple=t, ineq1_holds=ineq1, ineq2_holds=ineq2, combined_violated=combined
-    )
-
-
-def _p4_inequalities(a: int, b: int, c: int, d: int) -> tuple[bool, bool, bool]:
-    # (ineq1_holds, ineq2_holds, combined_violated) of
-    # p4_infeasibility_check, on bare sizes: the acceptance grid checks
-    # 160,000 tuples and needs no report objects.
-    ab, ac, bd, cd = a + b, a + c, b + d, c + d
-    cb, cc = b * (b - 1) // 2, c * (c - 1) // 2  # C(b,2), C(c,2)
-    # C(b,2)/(a+c) >= a(c+d)/b + C(c,2)/(b+d), times (a+c)*b*(b+d):
-    ineq1 = cb * b * bd >= a * cd * ac * bd + cc * b * ac
-    # C(c,2)/(b+d) >= d(a+b)/c + C(b,2)/(a+c), times (b+d)*c*(a+c):
-    ineq2 = cc * c * ac >= d * ab * bd * ac + cb * c * bd
-    combined = a * c * cd + b * d * ab > 0
-    if ineq1 and ineq2:
+    a, b, c, d = t
+    s1, s2 = _p4_slacks(a, b, c, d)
+    if s1 >= 0 and s2 >= 0:
         raise AssertionError(
             f"both uniformity inequalities held for sizes {(a, b, c, d)}; "
             "they are mutually exclusive"
         )
-    return ineq1, ineq2, combined
+    return P4InfeasibilityReport(
+        tuple=t,
+        ineq1_holds=s1 >= 0,
+        ineq2_holds=s2 >= 0,
+        combined_violated=a * c * (c + d) + b * d * (a + b) > 0,
+    )
+
+
+def _p4_slacks(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """The slacks (s1, s2) of the two uniformity inequalities, cleared
+    of denominators: inequality k holds exactly when s_k >= 0."""
+    ab, ac, bd, cd = a + b, a + c, b + d, c + d
+    cb, cc = b * (b - 1) // 2, c * (c - 1) // 2  # C(b,2), C(c,2)
+    # C(b,2)/(a+c) - a(c+d)/b - C(c,2)/(b+d), times (a+c)*b*(b+d):
+    s1 = cb * b * bd - a * cd * ac * bd - cc * b * ac
+    # C(c,2)/(b+d) - d(a+b)/c - C(b,2)/(a+c), times (b+d)*c*(a+c):
+    s2 = cc * c * ac - d * ab * bd * ac - cb * c * bd
+    return s1, s2

@@ -6,6 +6,8 @@ verdict line so a plain pytest run shows the whole table.
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 import bugraph.acceptance as acceptance
@@ -17,6 +19,14 @@ C7_PASS = (
     "global share at 1948, neighbor shares at 1948 and own share at 1948 "
     "vertices of 200 random specs all exact"
 )
+
+C9_PASS = (
+    "the path4 inequalities never hold together at any positive sizes: their "
+    "cleared slacks satisfy c*s1 + b*s2 = -(a+c)(b+d)(ac(c+d) + bd(a+b)), "
+    "an identity of degree <= 4 checked on {1..5}^4; "
+    "path4 search (sizes <= 6) exhausted 12100 specs, none uniform"
+)
+_C9 = {number: fn for number, _, fn in CRITERIA}[9]
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +53,46 @@ def test_corpus_and_lemma_details(results):
     assert results[8].detail == (
         "both extremal-part lemmas hold for m <= 4 over the full 27-point grids"
     )
+    assert results[9].detail == C9_PASS
+
+
+def test_criterion_9_detail_is_the_same_every_run():
+    assert _C9(_Registry(), "full", 1) == _C9(_Registry(), "full", 1) == (True, C9_PASS)
+
+
+class TestCriterion9Mutants:
+    """Criterion 9 proves the path-4 chain from ``_p4_slacks``: a slack
+    that is wrong at one tuple of the box, or that uses the wrong
+    binomial, fails it and the detail names the first such tuple."""
+
+    def test_slack_off_by_one_breaks_the_identity(self, monkeypatch):
+        real = acceptance._p4_slacks
+
+        def bumped(a, b, c, d):
+            s1, s2 = real(a, b, c, d)
+            return s1 + ((a, b, c, d) == (2, 3, 4, 5)), s2
+
+        monkeypatch.setattr(acceptance, "_p4_slacks", bumped)
+        assert _C9(_Registry(), "full", 1) == (
+            False,
+            "c*s1 + b*s2 is not -(a+c)(b+d)(ac(c+d) + bd(a+b)) at (2, 3, 4, 5)",
+        )
+
+    def test_wrong_binomial_is_caught(self, monkeypatch):
+        # C(b,2) cancels in c*s1 + b*s2, so the identity alone would pass
+        # this; the tie to the rational inequalities catches it at b = 2
+        real = acceptance._p4_slacks
+
+        def half_square(a, b, c, d):
+            s1, s2 = real(a, b, c, d)
+            extra = b * b // 2 - comb(b, 2)  # C(b,2) read as b^2//2 in both
+            return s1 + extra * b * (b + d), s2 - extra * c * (b + d)
+
+        monkeypatch.setattr(acceptance, "_p4_slacks", half_square)
+        assert _C9(_Registry(), "full", 1) == (
+            False,
+            "slacks are not the cleared path4 inequalities at (1, 2, 1, 1)",
+        )
 
 
 def test_criterion_1_names_an_incomplete_enumeration(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -14,6 +15,7 @@ from bugraph.blowup import BlowupSpec, PartDescriptor, blow_up
 from bugraph.constructions import (
     P4InfeasibilityReport,
     P4SizeTuple,
+    _p4_slacks,
     p2_clique_spec,
     p3_independent_spec,
     p4_infeasibility_check,
@@ -23,6 +25,8 @@ from bugraph.constructions import (
 from bugraph.graphs import generate, is_isomorphic
 
 sizes = st.integers(min_value=1, max_value=30)
+large_sizes = st.integers(min_value=1, max_value=10**9)
+any_size = sizes | large_sizes
 
 
 class TestP2Family:
@@ -119,13 +123,20 @@ class TestP4Mixed:
         assert not is_betweenness_uniform(bg.graph).uniform
 
 
-def _fraction_flags(a: int, b: int, c: int, d: int) -> tuple[bool, bool]:
-    # direct rational evaluation, no denominator clearing
+def _fraction_gaps(a: int, b: int, c: int, d: int) -> tuple[Fraction, Fraction]:
+    # lhs - rhs of both inequalities, direct rational evaluation with no
+    # denominator clearing; an inequality holds when its gap is >= 0
     lhs1 = Fraction(comb(b, 2), a + c)
     rhs1 = Fraction(a * (c + d), b) + Fraction(comb(c, 2), b + d)
     lhs2 = Fraction(comb(c, 2), b + d)
     rhs2 = Fraction(d * (a + b), c) + Fraction(comb(b, 2), a + c)
-    return lhs1 >= rhs1, lhs2 >= rhs2
+    return lhs1 - rhs1, lhs2 - rhs2
+
+
+def _chain_sides(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
+    # c*s1, b*s2 and the right-hand side of c*s1 + b*s2 == rhs
+    s1, s2 = _p4_slacks(a, b, c, d)
+    return c * s1, b * s2, -(a + c) * (b + d) * (a * c * (c + d) + b * d * (a + b))
 
 
 class TestP4Infeasibility:
@@ -133,8 +144,10 @@ class TestP4Infeasibility:
         with pytest.raises(ValueError, match="^all four sizes must be positive integers$"):
             P4SizeTuple(1, 0, 1, 1)
 
-    @given(sizes, sizes, sizes, sizes)
-    @settings(max_examples=300)
+    # each size comes from either strategy about half the time, so 600
+    # examples still give the small sizes about 300
+    @given(any_size, any_size, any_size, any_size)
+    @settings(max_examples=600)
     def test_always_violated(self, a, b, c, d):
         rep = p4_infeasibility_check(P4SizeTuple(a, b, c, d))
         assert rep.combined_violated
@@ -144,9 +157,36 @@ class TestP4Infeasibility:
     @settings(max_examples=200)
     def test_flags_match_rational_arithmetic(self, a, b, c, d):
         rep = p4_infeasibility_check(P4SizeTuple(a, b, c, d))
-        f1, f2 = _fraction_flags(a, b, c, d)
-        assert rep.ineq1_holds == f1
-        assert rep.ineq2_holds == f2
+        g1, g2 = _fraction_gaps(a, b, c, d)
+        assert rep.ineq1_holds == (g1 >= 0)
+        assert rep.ineq2_holds == (g2 >= 0)
+
+    @given(any_size, any_size, any_size, any_size)
+    @settings(max_examples=200)
+    def test_slacks_are_the_cleared_inequalities(self, a, b, c, d):
+        s1, s2 = _p4_slacks(a, b, c, d)
+        g1, g2 = _fraction_gaps(a, b, c, d)
+        assert s1 == g1 * (a + c) * b * (b + d)
+        assert s2 == g2 * (b + d) * c * (a + c)
+
+    def test_chain_has_degree_at_most_4_in_each_size(self):
+        # a 5th forward difference of zero along every axis pins the
+        # degree bound that lets acceptance criterion 9 prove the chain
+        # from the box {1..5}^4 alone
+        rng = random.Random(0)
+        for _ in range(50):
+            point = [rng.randint(1, 10**6) for _ in range(4)]
+            for axis in range(4):
+                line = []
+                for step in range(6):
+                    moved = list(point)
+                    moved[axis] += step
+                    line.append(_chain_sides(*moved))
+                for side in range(3):
+                    fifth = sum(
+                        (-1) ** (5 - k) * comb(5, k) * line[k][side] for k in range(6)
+                    )
+                    assert fifth == 0, (point, axis, side)
 
     def test_report_carries_tuple(self):
         t = P4SizeTuple(2, 3, 4, 5)
