@@ -20,11 +20,15 @@ pass through it.  Given candidate parts of one size per base vertex,
 ``GeodesicPlan.numerators`` returns one common denominator d and the
 integer numerators over d of every part's global share and of each
 candidate's shares inside parts.  The search screen compares these
-integers directly, and so do ``delta_xy``/``delta_extremal``, with one
-candidate per vertex, for the leaf-part ratio: d cancels, so the ratio
-is one ``Fraction`` of two integer sums.  ``shares_by_part`` is the
-``Fraction`` view of the same call: ``betweenness_by_part`` sums it and
-``bugraph decompose`` prints one part's entry.
+integers directly.  The leaf-part ratio of ``delta_xy`` and
+``delta_extremal`` is one ``Fraction`` of two sums of them, as d
+cancels; those two pass one candidate per vertex, while
+``search.lemma_table`` passes every graph class in one slot and reads
+each class's ratio from the same call.  ``shares_by_part`` is the
+``Fraction`` view of the one-candidate call: ``betweenness_by_part``
+sums it and ``bugraph decompose`` prints one part's entry.
+``blow_up`` writes each edge of the built graph once and valid, so it
+sorts them and skips ``Graph``'s validation.
 ``decompose_betweenness`` is only the reference: it reads the same
 split off the built graph (``blow_up``) from ``oracle_split``, the
 per-pair counting pass behind ``betweenness_oracle``, with each vertex
@@ -37,7 +41,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 from .betweenness import format_rational, oracle_split
@@ -179,28 +183,30 @@ class BlownGraph(namedtuple("BlownGraph", "graph part_of part_vertices")):
 
 
 def blow_up(spec: BlowupSpec) -> BlownGraph:
-    """Materialize the blow-up described by ``spec``."""
-    sizes = [p.size for p in spec.parts]
-    starts = [0] * len(sizes)
-    for i in range(1, len(sizes)):
-        starts[i] = starts[i - 1] + sizes[i - 1]
-    total = sum(sizes)
+    """Materialize the blow-up described by ``spec``.
+
+    Every edge is written once, as (u, w) with u < w < n, so after one
+    sort the graph is built without re-validation.
+    """
+    starts = [0]
+    for p in spec.parts:
+        starts.append(starts[-1] + p.size)
     edges: list[tuple[int, int]] = []
-    part_of = [0] * total
+    part_of: list[int] = []
     part_vertices = []
     for i, part in enumerate(spec.parts):
-        lo = starts[i]
-        part_vertices.append(tuple(range(lo, lo + sizes[i])))
-        for v in range(lo, lo + sizes[i]):
-            part_of[v] = i
-        for u, w in part.realize().edges:
-            edges.append((lo + u, lo + w))
+        lo, hi = starts[i], starts[i + 1]
+        part_vertices.append(tuple(range(lo, hi)))
+        part_of += [i] * part.size
+        if part.kind == PART_CLIQUE:
+            edges += combinations(range(lo, hi), 2)
+        elif part.kind == PART_EXPLICIT:
+            edges += [(lo + u, lo + w) for u, w in part.graph.edges]
     for i, j in spec.base.edges:
-        for u in part_vertices[i]:
-            for w in part_vertices[j]:
-                edges.append((u, w))
+        edges += product(part_vertices[i], part_vertices[j])
+    edges.sort()
     return BlownGraph(
-        graph=Graph(total, tuple(edges)),
+        graph=Graph._make((starts[-1], tuple(edges))),
         part_of=tuple(part_of),
         part_vertices=tuple(part_vertices),
     )
@@ -450,23 +456,41 @@ def _leaf_neighbor(spec: BlowupSpec, leaf_part: int) -> int:
     return nbrs[0]
 
 
-def _delta(spec: BlowupSpec, glob, local, x: int, y: int) -> Fraction:
-    # glob and local from _spec_numerators(spec); their denominator cancels
-    px, ix = _locate(spec, x)
-    py, iy = _locate(spec, y)
-    if _leaf_neighbor(spec, px) != py:
-        raise ValueError(f"y must sit in the unique base neighbor of part {px}")
+def _delta(adj, sizes, glob, local, px: int, py: int, ix=None, iy=None) -> DeltaResult:
+    """The x/y ratio from the integer numerators of
+    ``GeodesicPlan.numerators``, whose common denominator cancels.
+
+    x is vertex ix of leaf part px and y vertex iy of its base neighbor
+    py; ``glob`` and ``local`` hold one entry per base vertex, and
+    ``adj`` and ``sizes`` describe the base and the parts.  An index
+    left ``None`` is the extremal one: inside a part only the own share
+    varies, so x maximizes it over part px and y minimizes it over part
+    py, lowest index on ties.
+    """
     # local[j][0]: what the pairs inside part j give each neighbor-part vertex
     pairs_x, own_x = local[px]
     pairs_y, own_y = local[py]
+    # max and min return the first extremum, which is the lowest index
+    if ix is None:
+        ix = max(range(len(own_x)), key=own_x.__getitem__) if own_x else 0
+    if iy is None:
+        iy = min(range(len(own_y)), key=own_y.__getitem__) if own_y else 0
+    x = sum(sizes[:px]) + ix
+    y = sum(sizes[:py]) + iy
     numer = pairs_y - (own_y[iy] if own_y else 0)
     denom = glob[py] + pairs_x - (own_x[ix] if own_x else 0)
-    denom += sum(local[j][0] for j in spec.base.adjacency[py] if j != px)
+    denom += sum(local[j][0] for j in adj[py] if j != px)
     if denom == 0:
         raise DeltaUndefinedError(
             f"denominator of the x/y betweenness ratio vanished (x={x}, y={y})"
         )
-    return Fraction(numer, denom)
+    return DeltaResult(value=Fraction(numer, denom), x=x, y=y)
+
+
+def _spec_delta(spec: BlowupSpec, px: int, py: int, ix=None, iy=None) -> DeltaResult:
+    _, glob, local = _spec_numerators(spec)
+    sizes = [p.size for p in spec.parts]
+    return _delta(spec.base.adjacency, sizes, glob, local, px, py, ix, iy)
 
 
 def delta_xy(spec: BlowupSpec, x: int, y: int) -> Fraction:
@@ -481,23 +505,18 @@ def delta_xy(spec: BlowupSpec, x: int, y: int) -> Fraction:
     cancels.  Raises DeltaUndefinedError when the denominator is 0,
     which happens for degenerate bases like a single edge.
     """
-    _, glob, local = _spec_numerators(spec)
-    return _delta(spec, glob, local, x, y)
+    px, ix = _locate(spec, x)
+    py, iy = _locate(spec, y)
+    if _leaf_neighbor(spec, px) != py:
+        raise ValueError(f"y must sit in the unique base neighbor of part {px}")
+    return _spec_delta(spec, px, py, ix, iy).value
 
 
 def delta_extremal(spec: BlowupSpec, *, leaf_part: int = 0) -> DeltaResult:
     """delta_xy at the extremal pair: x maximizes betweenness over the
     leaf part, y minimizes it over the neighbor part (lowest index on
     ties).  Inside a part only the own share varies, so it decides."""
-    py = _leaf_neighbor(spec, leaf_part)
-    _, glob, local = _spec_numerators(spec)
-    own_x, own_y = local[leaf_part][1], local[py][1]
-    # max and min return the first extremum, which is the lowest index
-    ix = max(range(len(own_x)), key=own_x.__getitem__) if own_x else 0
-    iy = min(range(len(own_y)), key=own_y.__getitem__) if own_y else 0
-    x = sum(p.size for p in spec.parts[:leaf_part]) + ix
-    y = sum(p.size for p in spec.parts[:py]) + iy
-    return DeltaResult(value=_delta(spec, glob, local, x, y), x=x, y=y)
+    return _spec_delta(spec, leaf_part, _leaf_neighbor(spec, leaf_part))
 
 
 # ---------------------------------------------------------------------------

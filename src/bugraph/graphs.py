@@ -64,7 +64,9 @@ class Graph(namedtuple("Graph", "n edges")):
     The constructor normalizes edge tuples (sorted endpoints, sorted
     edge list) so structurally equal graphs compare and hash equal.
     Like every record of this package, a graph is a named tuple; it
-    keeps an instance ``__dict__`` for its cached properties.
+    keeps an instance ``__dict__`` for its cached properties.  Code in
+    this package that already holds a valid sorted edge tuple builds
+    through ``Graph._make((n, edges))``, which skips the check.
     """
 
     def __new__(cls, n: int, edges: tuple[tuple[int, int], ...] = ()):
@@ -229,12 +231,15 @@ def is_two_connected(g: Graph) -> bool:
 # generators
 
 
+# typed: a float or bool size must not be served a graph cached for an int
+@lru_cache(maxsize=128, typed=True)
 def generate(kind: str, n: int) -> Graph:
     """Build one of the classic families.
 
     kind: ``path`` | ``cycle`` | ``complete`` | ``empty`` | ``star``.
     For ``star`` the parameter is the number of leaves k; the result has
-    k+1 vertices with the center last (index k).
+    k+1 vertices with the center last (index k).  Graphs are immutable,
+    so repeat calls share one graph and its cached distances.
     """
     if n < 1:
         raise ValueError(f"{kind} generator needs n >= 1")
@@ -317,7 +322,9 @@ def parse_graph6(text: str) -> Graph:
             if (group >> shift) & 1:
                 edges.append(pairs[k])
             k += 1
-    return Graph(n, tuple(edges))
+    # the decoded pairs are valid and distinct, in column order
+    edges.sort()
+    return Graph._make((n, tuple(edges)))
 
 
 def serialize_graph6(g: Graph) -> str:

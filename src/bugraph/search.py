@@ -55,8 +55,8 @@ from .betweenness import betweenness_exact, betweenness_oracle, profile_uniformi
 from .blowup import (
     BlowupSpec,
     PartDescriptor,
+    _delta,
     blow_up,
-    delta_extremal,
     geodesic_plan,
     spec_to_json,
 )
@@ -381,6 +381,10 @@ def lemma_table(
 
     Slot "second" is path4[K_a, H, I_c, K_d] with context (a, c, d);
     slot "first" is path4[H, I_b, I_c, K_d] with context (b, c, d).
+    One ``GeodesicPlan.numerators`` call covers the whole table: the
+    slot lists every class, the other three slots their one part, and
+    each row is ``delta_extremal``'s ratio read off the shared global
+    numerators and that class's shares inside parts.
     """
     if slot not in _LEMMA_WINNERS:
         raise ValueError(f"unknown lemma slot {slot!r}")
@@ -389,16 +393,24 @@ def lemma_table(
     x, c, d = context
     if min(context) < 1:
         raise ValueError("context part sizes must be positive")
-    tail = (PartDescriptor.independent(c), PartDescriptor.clique(d))
+    classes = enumerate_graphs(m)
+    # the cached all-family candidates, so every table of one m shares
+    # the descriptors and their common-neighbor lists
+    varying = [p for p in _candidates(FAMILY_ALL, m) if p.size == m]
+    tail = [(PartDescriptor.independent(c),), (PartDescriptor.clique(d),)]
+    if slot == "first":
+        v, head = 0, [varying, (PartDescriptor.independent(x),)]
+    else:
+        v, head = 1, [(PartDescriptor.clique(x),), varying]
+    slots = head + tail
     base = generate("path", 4)
+    _, glob, local = geodesic_plan(base).numerators(slots)
+    sizes = [s[0].size for s in slots]
+    fixed = [loc[0] for loc in local]
     rows = []
-    for h in enumerate_graphs(m):
-        part = PartDescriptor.for_graph(h)
-        if slot == "first":
-            head = (part, PartDescriptor.independent(x))
-        else:
-            head = (PartDescriptor.clique(x), part)
-        rows.append((h, delta_extremal(BlowupSpec(base=base, parts=head + tail)).value))
+    for h, cand in zip(classes, local[v]):
+        fixed[v] = cand
+        rows.append((h, _delta(base.adjacency, sizes, glob, fixed, 0, 1).value))
     return rows
 
 

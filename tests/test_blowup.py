@@ -35,6 +35,7 @@ from bugraph.graphs import (
     enumerate_graphs,
     enumerate_trees,
     generate,
+    is_connected,
     is_isomorphic,
 )
 
@@ -78,7 +79,32 @@ def _neighbor_share(spec: BlowupSpec, i: int, j: int) -> Fraction:
     return list(shares_by_part(spec))[i][1][j]
 
 
+def _assert_equals_validated(g: Graph) -> None:
+    """g, however it was built, is what ``Graph``'s validation makes of
+    its edges: equal, with the same hash and the same edge tuple."""
+    v = Graph(g.n, g.edges)
+    assert type(g) is Graph
+    assert g == v
+    assert hash(g) == hash(v)
+    assert g.edges == v.edges
+
+
 class TestConstruction:
+    @given(blowup_specs(max_base=4, max_part=3))
+    @settings(max_examples=60, deadline=None)
+    def test_trusted_build_equals_validated(self, spec):
+        _assert_equals_validated(blow_up(spec).graph)
+
+    def test_trusted_build_equals_validated_on_every_part_class(self):
+        # each connected base on 2-4 vertices, each class on <= 3 vertices
+        # in every slot: I, K and explicit parts next to one another
+        pool = [PartDescriptor.for_graph(h) for s in (1, 2, 3) for h in enumerate_graphs(s)]
+        assert {p.kind for p in pool} == {"I", "K", "X"}
+        for base in (g for n in (2, 3, 4) for g in enumerate_graphs(n) if is_connected(g)):
+            for k in range(len(pool)):
+                parts = tuple(pool[(k + i) % len(pool)] for i in range(base.n))
+                _assert_equals_validated(blow_up(BlowupSpec(base, parts)).graph)
+
     @given(blowup_specs())
     @settings(max_examples=40, deadline=None)
     def test_edge_count_without_building(self, spec):

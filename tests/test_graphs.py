@@ -127,6 +127,16 @@ class TestGraph6:
     def test_round_trip_empty_graph(self):
         assert parse_graph6(serialize_graph6(Graph(0))) == Graph(0)
 
+    def test_decode_equals_validated_build(self):
+        # every atlas line goes through parse_graph6's trusted build
+        atlas = [g for n in range(GRAPH_ENUM_CAP + 1) for g in enumerate_graphs(n)]
+        atlas += [t for n in range(1, TREE_ENUM_CAP + 1) for t in enumerate_trees(n)]
+        for g in atlas:
+            h = parse_graph6(serialize_graph6(g))
+            v = Graph(h.n, h.edges)
+            assert type(h) is Graph
+            assert h == v == g and hash(h) == hash(v) and h.edges == v.edges
+
 
 class TestGenerate:
     def test_path(self):
@@ -153,6 +163,29 @@ class TestGenerate:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             generate("torus", 3)
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("path", 1), ("path", 5), ("cycle", 6), ("complete", 4), ("empty", 3), ("star", 4)],
+    )
+    def test_repeat_calls_share_one_graph(self, kind, n):
+        g = generate(kind, n)
+        assert generate(kind, n) is g
+        fresh = generate.__wrapped__(kind, n)
+        assert fresh is not g
+        assert fresh == g and hash(fresh) == hash(g) and fresh.edges == g.edges
+
+    @pytest.mark.parametrize("kind, n", [("cycle", 2), ("torus", 3), ("path", 0), ("star", -1)])
+    def test_bad_arguments_raise_on_every_call(self, kind, n):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                generate(kind, n)
+
+    def test_float_size_is_not_served_from_the_cache(self):
+        generate("path", 3)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                generate("path", 3.0)
 
 
 def _brute_diameter(g: Graph) -> int:

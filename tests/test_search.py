@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from bugraph.betweenness import betweenness_exact, is_betweenness_uniform
 from bugraph.blowup import (
     BlowupSpec,
+    GeodesicPlan,
     PartDescriptor,
     betweenness_by_part,
     blow_up,
+    delta_extremal,
     spec_from_json,
 )
 from bugraph.graphs import (
@@ -474,6 +476,38 @@ class TestLemmas:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             verify_lemma("second", 6, (1, 1, 1))
+
+    @pytest.mark.parametrize("slot", ("first", "second"))
+    def test_table_matches_delta_extremal(self, slot):
+        # the per-class route: one spec and one delta_extremal per row
+        path4 = generate("path", 4)
+        cases = [(m, ctx) for m in range(1, 5) for ctx in product((1, 2, 3), repeat=3)]
+        cases += [(5, ctx) for ctx in ((1, 1, 1), (3, 2, 1), (2, 3, 3))]
+        for m, (x, c, d) in cases:
+            want = []
+            for h in enumerate_graphs(m):
+                part = PartDescriptor.for_graph(h)
+                if slot == "first":
+                    head = (part, PartDescriptor.independent(x))
+                else:
+                    head = (PartDescriptor.clique(x), part)
+                parts = head + (PartDescriptor.independent(c), PartDescriptor.clique(d))
+                want.append((h, delta_extremal(BlowupSpec(path4, parts)).value))
+            assert lemma_table(slot, m, (x, c, d)) == want, (m, (x, c, d))
+
+    def test_one_numerators_call_per_table(self, monkeypatch):
+        calls = []
+        numerators = GeodesicPlan.numerators
+
+        def counted(plan, slots):
+            calls.append(len(slots))
+            return numerators(plan, slots)
+
+        monkeypatch.setattr(GeodesicPlan, "numerators", counted)
+        for slot, m in (("first", 1), ("second", 4), ("first", 5)):
+            calls.clear()
+            lemma_table(slot, m, (2, 1, 3))
+            assert calls == [4]
 
     @pytest.mark.parametrize(
         "slot, context", [("middle", (1, 1, 1)), ("first", (1, 1)), ("second", (1, 0, 1))]
