@@ -11,6 +11,8 @@ betweenness-uniform graph the run produces and every claimed-empty
 search so the final sanity check can audit them in one place.
 It also holds the one corpus pass that criteria 6 and 7 share, built
 afresh by each ``run_suite`` when the first of the two runs.
+``run_suite`` returns the results and prints nothing; the
+``verify-paper`` command prints their verdict lines and the summary.
 
 The path-4 impossibility is proved for every size tuple, not sampled.
 The integer slacks s1, s2 of the two inequalities that uniformity of
@@ -112,10 +114,10 @@ class _Registry:
         return _corpus_pass()
 
     def add_uniform(self, g: Graph, source: str) -> None:
-        # only connected graphs enter: the two-connectivity fact is about
-        # connected uniform graphs, and all blow-ups here are connected
-        if is_connected(g):
-            self.uniform_graphs.setdefault(g, source)
+        # only connected graphs may enter: the two-connectivity fact is
+        # about connected uniform graphs.  Every blow-up of a connected
+        # base is connected; criterion 1 filters its graph classes itself.
+        self.uniform_graphs.setdefault(g, source)
 
     def add_claim(self, source: str, report: SearchReport) -> None:
         if not report.found:
@@ -143,7 +145,7 @@ def _c1_oracle_equivalence(reg: _Registry, level: str, jobs: int) -> tuple[bool,
             if exact != betweenness_oracle(g):
                 return False, f"algorithms disagree on {serialize_graph6(g)}"
             checked += 1
-            if g.n >= 3 and profile_uniformity(exact).uniform:
+            if g.n >= 3 and profile_uniformity(exact).uniform and is_connected(g):
                 reg.add_uniform(g, "enumeration")
     return True, f"both algorithms agree on all {checked} classes with <= 7 vertices"
 
@@ -416,11 +418,11 @@ CRITERIA = [
 ]
 
 
-def run_suite(level: str = "quick", jobs: int = 1, out=print) -> list[CriterionResult]:
-    """Run all criteria, print one verdict line each, return the results.
+def run_suite(level: str = "quick", jobs: int = 1) -> list[CriterionResult]:
+    """Run all criteria and return their results; nothing is printed.
 
     The sanity audit (11) runs last so it sees everything the other
-    criteria produced, but results are reported in numeric order.
+    criteria produced, but results are returned in numeric order.
     """
     if level not in ("quick", "full"):
         raise ValueError(f"unknown level {level!r}")
@@ -435,9 +437,4 @@ def run_suite(level: str = "quick", jobs: int = 1, out=print) -> list[CriterionR
             passed, detail = False, f"crashed: {type(exc).__name__}: {exc}"
         results.append(CriterionResult(number, name, passed, detail, time.perf_counter() - t0))
     results.sort(key=lambda r: r.number)
-    if out is not None:
-        for r in results:
-            out(r.line())
-        verdict = "ALL PASS" if all(r.passed for r in results) else "FAILURES PRESENT"
-        out(f"== {verdict} ({sum(r.seconds for r in results):.1f}s total, level={level}) ==")
     return results

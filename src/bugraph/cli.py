@@ -19,8 +19,7 @@ failure a pipeline may want to branch on:
 
 Graphs are given either inline as graph6 or as a path to a file whose
 first non-blank line is graph6; an existing file wins, ``--literal``
-forces the inline reading.  ``--jobs`` defaults to the BUGRAPH_JOBS
-environment variable when set.
+forces the inline reading.  ``--jobs`` defaults to 1.
 """
 
 from __future__ import annotations
@@ -90,14 +89,6 @@ MAX_BLOWUP_EDGES = 1_000_000
 
 class _InputError(Exception):
     """Anything wrong with user-supplied data (exit code 3)."""
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("BUGRAPH_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_graph(arg: str, literal: bool) -> Graph:
@@ -349,7 +340,12 @@ def _cmd_verify(args) -> int:
     from .acceptance import run_suite
 
     results = run_suite(level=args.level, jobs=args.jobs)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_INTERNAL
+    for r in results:
+        print(r.line())
+    passed = all(r.passed for r in results)
+    verdict = "ALL PASS" if passed else "FAILURES PRESENT"
+    print(f"== {verdict} ({sum(r.seconds for r in results):.1f}s total, level={args.level}) ==")
+    return EXIT_OK if passed else EXIT_INTERNAL
 
 
 def _cmd_enum(args) -> int:
@@ -367,7 +363,7 @@ def _add_budget_args(sub) -> None:
     sub.add_argument("--max-size", type=int, default=4, help="largest part size")
     sub.add_argument("--max-total", type=int, default=None, help="cap on blow-up vertices")
     sub.add_argument("--time-limit", type=float, default=None, help="seconds before a partial report")
-    sub.add_argument("--jobs", type=int, default=_default_jobs())
+    sub.add_argument("--jobs", type=int, default=1)
 
 
 def _add_graph_arg(sub) -> None:
@@ -441,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="run the acceptance checks, print a PASS/FAIL table")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("enum", help="stream non-isomorphic graphs as graph6 lines")

@@ -263,7 +263,9 @@ def generate(kind: str, n: int) -> Graph:
 #
 # Standard layout: optional ">>graph6<<" header, then N(n), then the upper
 # triangle of the adjacency matrix in column order (x01, x02, x12, x03, ...)
-# packed into 6-bit groups, each stored as byte value group+63.
+# packed into 6-bit groups, each stored as byte value group+63.  Bit
+# j(j-1)/2 + i of that body is x_ij (i < j), the first bit of a group being
+# its high bit; the zero padding of the last group is not read back.
 
 
 def _g6_decode_n(data: bytes, base: int) -> tuple[int, int]:
@@ -310,18 +312,20 @@ def parse_graph6(text: str) -> Graph:
     if len(body) > nbytes:
         raise Graph6Error("trailing data after edge bits", base + consumed + nbytes)
     edges = []
-    k = 0  # next bit index in x01, x02, x12, x03, ... order
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    i, j = 0, 1  # the pair of the next bit, in x01, x02, x12, x03, ... order
     for bi, b in enumerate(body):
         if b < 63 or b > 126:
             raise Graph6Error(f"byte {b} outside graph6 range", base + consumed + bi)
         group = b - 63
         for shift in range(5, -1, -1):
-            if k >= nbits:
+            if j >= n:
                 break
             if (group >> shift) & 1:
-                edges.append(pairs[k])
-            k += 1
+                edges.append((i, j))
+            i += 1
+            if i == j:
+                i = 0
+                j += 1
     # the decoded pairs are valid and distinct, in column order
     edges.sort()
     return Graph._make((n, tuple(edges)))
@@ -337,21 +341,13 @@ def serialize_graph6(g: Graph) -> str:
         head = [126, 126] + [((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0)]
     else:
         raise ValueError("graph too large for graph6")
-    bits = g.adjacency_bits
-    out = head[:]
-    group = 0
-    filled = 0
-    for j in range(1, n):
-        row = bits[j]
-        for i in range(j):
-            group = (group << 1) | ((row >> i) & 1)
-            filled += 1
-            if filled == 6:
-                out.append(group + 63)
-                group = 0
-                filled = 0
-    if filled:
-        out.append((group << (6 - filled)) + 63)
+    body = nbits = 0
+    for j, row in enumerate(g.adjacency_bits):
+        body |= (row & ((1 << j) - 1)) << nbits  # nbits == j(j-1)/2 here
+        nbits += j
+    width = -(-nbits // 6) * 6  # padded to whole groups
+    bits = f"{body:0{width}b}"[::-1]  # low bit first
+    out = head + [int(bits[k : k + 6], 2) + 63 for k in range(0, width, 6)]
     return bytes(out).decode("ascii")
 
 

@@ -12,7 +12,9 @@ import pytest
 
 import bugraph.acceptance as acceptance
 from bugraph.acceptance import CRITERIA, _corpus_specs, _Registry, run_suite
+from bugraph.betweenness import betweenness_exact, profile_uniformity
 from bugraph.blowup import blow_up
+from bugraph.graphs import enumerate_graphs, is_connected
 
 C6_PASS = "identity and part-by-part values exact at all 1948 vertices of 200 random specs"
 C7_PASS = (
@@ -31,7 +33,7 @@ _C9 = {number: fn for number, _, fn in CRITERIA}[9]
 
 @pytest.fixture(scope="module")
 def results():
-    return {r.number: r for r in run_suite(level="full", out=None)}
+    return {r.number: r for r in run_suite(level="full")}
 
 
 @pytest.mark.parametrize("number", [c[0] for c in CRITERIA])
@@ -102,6 +104,44 @@ def test_criterion_1_names_an_incomplete_enumeration(monkeypatch):
     monkeypatch.setattr(acceptance, "enumerate_graphs", lambda n: real(n)[1:] if n == 6 else real(n))
     c1 = {number: fn for number, _, fn in CRITERIA}[1]
     assert c1(_Registry(), "full", 1) == (False, "155 graph classes on 6 vertices, expected 156")
+
+
+def test_run_suite_prints_nothing(capsys):
+    results = run_suite(level="quick")
+    assert [r.number for r in results] == sorted(c[0] for c in CRITERIA)
+    assert capsys.readouterr().out == ""
+
+
+class TestRegistry:
+    """Only connected uniform graphs enter the registry.  Blow-ups of
+    connected bases are connected, so the registry takes them as they
+    come; criterion 1, which meets whole graph classes, filters."""
+
+    def test_blowup_criteria_need_no_connectivity_check(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("connectivity checked on a blow-up")
+
+        monkeypatch.setattr(acceptance, "is_connected", refuse)
+        reg = _Registry()
+        for number, _, fn in CRITERIA:
+            if 2 <= number <= 5:
+                assert fn(reg, "full", 1)[0], number
+        assert len(reg.uniform_graphs) > 0
+
+    def test_criterion_1_keeps_disconnected_classes_out(self):
+        reg = _Registry()
+        c1 = {number: fn for number, _, fn in CRITERIA}[1]
+        assert c1(reg, "full", 1)[0]
+        # such as three isolated vertices, or K2 plus an isolated vertex
+        disconnected = {
+            g
+            for n in range(3, 8)
+            for g in enumerate_graphs(n)
+            if not is_connected(g) and profile_uniformity(betweenness_exact(g)).uniform
+        }
+        assert len(disconnected) == 36
+        assert reg.uniform_graphs and all(map(is_connected, reg.uniform_graphs))
+        assert not disconnected & reg.uniform_graphs.keys()
 
 
 def _corpus_criteria() -> tuple[tuple[bool, str], tuple[bool, str]]:
@@ -182,7 +222,7 @@ class TestCorpusPass:
         monkeypatch.setattr(acceptance, "blow_up", lambda spec: calls.append(spec) or real(spec))
         monkeypatch.setattr(acceptance, "CRITERIA", [c for c in CRITERIA if c[0] in (6, 7)])
         for run in (1, 2):
-            results = run_suite(level="quick", out=None)
+            results = run_suite(level="quick")
             assert [(r.number, r.passed, r.detail) for r in results] == [
                 (6, True, C6_PASS),
                 (7, True, C7_PASS),

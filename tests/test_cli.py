@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import bugraph
+import bugraph.acceptance as acceptance
 from bugraph.acceptance import _corpus_specs
 from bugraph.betweenness import betweenness_oracle, format_rational
 from bugraph.blowup import (
@@ -383,19 +384,20 @@ class TestSearch:
         code, _, _ = run(capsys, "search", "-g", P4, "--family", "zoo")
         assert code == 2
 
-    def test_env_jobs_read_at_build(self, monkeypatch):
+    def test_env_jobs_ignored(self, monkeypatch):
+        # --jobs is the one way to ask for workers
         monkeypatch.setenv("BUGRAPH_JOBS", "3")
         from bugraph.cli import build_parser
 
         args = build_parser().parse_args(["search", "-g", P4])
-        assert args.jobs == 3
+        assert args.jobs == 1
 
-    def test_env_jobs_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("BUGRAPH_JOBS", "lots")
+    def test_jobs_default_is_one(self):
         from bugraph.cli import build_parser
 
-        args = build_parser().parse_args(["search", "-g", P4])
-        assert args.jobs == 1
+        parser = build_parser()
+        for argv in (["search", "-g", P4], ["census", "trees", "--n-max", "4"], ["verify-paper"]):
+            assert parser.parse_args(argv).jobs == 1, argv[0]
 
 
 class TestCensus:
@@ -486,6 +488,17 @@ class TestLemmaTable:
 
 
 class TestVerifyPaper:
+    def test_prints_each_verdict_and_the_summary(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            acceptance, "CRITERIA", [c for c in acceptance.CRITERIA if c[0] in (2, 5)]
+        )
+        code, out, err = run(capsys, "verify-paper")
+        lines = out.splitlines()
+        assert code == 0 and err == ""
+        assert [ln[:10] for ln in lines[:2]] == ["[ 2] PASS ", "[ 5] PASS "]
+        assert lines[2].startswith("== ALL PASS (") and lines[2].endswith("s total, level=quick) ==")
+        assert len(lines) == 3
+
     def test_zero_jobs_is_bad_input(self, capsys):
         code, out, err = run(capsys, "verify-paper", "--jobs", "0")
         assert code == 3

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -126,6 +128,34 @@ class TestGraph6:
 
     def test_round_trip_empty_graph(self):
         assert parse_graph6(serialize_graph6(Graph(0))) == Graph(0)
+
+    def test_padding_bits_ignored(self):
+        # K3 has three body bits; the last group's three padding bits
+        # decode as zeros whatever they hold
+        assert parse_graph6("B~") == parse_graph6("Bw") == generate("complete", 3)
+
+    @pytest.mark.parametrize("n", [62, 63, 64])
+    def test_round_trip_at_header_boundary(self, n):
+        # n <= 62 takes a one-byte vertex count, n >= 63 a four-byte one
+        rng = random.Random(n)
+        for p in (0.1, 0.5, 0.9):
+            g = Graph(n, tuple(e for e in combinations(range(n), 2) if rng.random() < p))
+            text = serialize_graph6(g)
+            assert len(text) == (1 if n <= 62 else 4) + (n * (n - 1) // 2 + 5) // 6
+            assert parse_graph6(text) == g
+
+    def test_parse_allocates_no_pair_table(self):
+        # 179,700 vertex pairs at n = 600: a table of them alone would
+        # take about 14 MB, while the 599 edges take a few kB
+        text = serialize_graph6(generate("path", 600))
+        tracemalloc.start()
+        try:
+            g = parse_graph6(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g == generate("path", 600)
+        assert peak < 2_000_000
 
     def test_decode_equals_validated_build(self):
         # every atlas line goes through parse_graph6's trusted build
