@@ -6,15 +6,19 @@ verdict line so a plain pytest run shows the whole table.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 import bugraph.acceptance as acceptance
+import bugraph.search as search
 from bugraph.acceptance import CRITERIA, _corpus_specs, _Registry, run_suite
 from bugraph.betweenness import betweenness_exact, profile_uniformity
 from bugraph.blowup import blow_up
+from bugraph.constructions import p2_clique_spec, p3_independent_spec, p4_mixed_spec, star_spec
 from bugraph.graphs import enumerate_graphs, is_connected
+from bugraph.search import FAMILY_ALL, FAMILY_IK
 
 C6_PASS = "identity and part-by-part values exact at all 1948 vertices of 200 random specs"
 C7_PASS = (
@@ -229,3 +233,148 @@ class TestCorpusPass:
             ]
             # one blow-up per corpus spec per run, shared by both criteria
             assert len(calls) == 200 * run
+
+
+_BY_NUMBER = {number: fn for number, _, fn in CRITERIA}
+
+
+def _bump_profile_of(monkeypatch, spec) -> None:
+    # the exact profile of spec's blow-up gains 1 at vertex 0
+    target = blow_up(spec).graph
+    exact = acceptance.betweenness_exact
+
+    def bumped(g):
+        profile = exact(g)
+        if g == target:
+            profile[0] += 1
+        return profile
+
+    monkeypatch.setattr(acceptance, "betweenness_exact", bumped)
+
+
+class TestFamilyFailures:
+    """Criteria 3, 4 and 5 name the first blow-up whose exact profile
+    is not what the family promises."""
+
+    def test_criterion_3_names_the_spec(self, monkeypatch):
+        _bump_profile_of(monkeypatch, p3_independent_spec(2, 3))
+        assert _BY_NUMBER[3](_Registry(), "full", 1) == (False, "Bg[I2,I5,I3] not uniform")
+
+    def test_criterion_4_names_the_family_spec(self, monkeypatch):
+        # every star blow-up of leaf total 3 is K_{3,3}, first met as A_[I3,I3]
+        _bump_profile_of(monkeypatch, star_spec((1, 2)))
+        assert _BY_NUMBER[4](_Registry(), "full", 1) == (False, "A_[I3,I3] not uniform")
+
+    def test_criterion_4_names_a_uniform_negative_control(self, monkeypatch):
+        # every profile flat: the family passes, the first control fails
+        monkeypatch.setattr(acceptance, "betweenness_exact", lambda g: [Fraction(0)] * g.n)
+        assert _BY_NUMBER[4](_Registry(), "full", 1) == (
+            False,
+            "negative control BW[I1,I1,I1] is uniform",
+        )
+
+    def test_criterion_5_names_the_spec_and_verdict(self, monkeypatch):
+        _bump_profile_of(monkeypatch, p2_clique_spec(4))
+        assert _BY_NUMBER[5](_Registry(), "full", 1) == (
+            False,
+            "A_[K4,K4]: UniformityResult(uniform=False, common=None)",
+        )
+
+    def test_criterion_5_wants_zero(self, monkeypatch):
+        monkeypatch.setattr(acceptance, "betweenness_exact", lambda g: [Fraction(1)] * g.n)
+        assert _BY_NUMBER[5](_Registry(), "full", 1) == (
+            False,
+            "A_[K1,K1]: UniformityResult(uniform=True, common=Fraction(1, 1))",
+        )
+
+
+class TestCriterion8Mutants:
+    """A table whose lemma winner falls below the maximum at one grid
+    point fails criterion 8, and the detail names that point."""
+
+    @staticmethod
+    def _sink(monkeypatch, slot, m, context) -> None:
+        real = search.lemma_table
+
+        def sunk(s, size, ctx):
+            rows = real(s, size, ctx)
+            if (s, size, ctx) == (slot, m, context):
+                want = 0 if slot == "second" else m * (m - 1) // 2
+                rows = [(h, v - 1 if h.edge_count == want else v) for h, v in rows]
+            return rows
+
+        monkeypatch.setattr(search, "lemma_table", sunk)
+
+    def test_independent_part_lemma(self, monkeypatch):
+        self._sink(monkeypatch, "second", 3, (2, 3, 1))
+        assert _BY_NUMBER[8](_Registry(), "full", 1) == (
+            False,
+            "independent-part lemma fails at m=3, (a,c,d)=(2,3,1)",
+        )
+
+    def test_clique_part_lemma(self, monkeypatch):
+        self._sink(monkeypatch, "first", 2, (3, 1, 2))
+        assert _BY_NUMBER[8](_Registry(), "full", 1) == (
+            False,
+            "clique-part lemma fails at m=2, (b,c,d)=(3,1,2)",
+        )
+
+
+class TestSearchClaimFailures:
+    """A search that finds a blow-up or stops early fails criteria 9
+    and 10 with its found count and its exhausted flag."""
+
+    def test_criterion_9_unexhausted_search(self, monkeypatch):
+        real = acceptance.search_blowups
+        monkeypatch.setattr(
+            acceptance,
+            "search_blowups",
+            lambda base, budget, jobs=1: real(base, budget, jobs=jobs)._replace(exhausted=False),
+        )
+        assert _BY_NUMBER[9](_Registry(), "quick", 1) == (
+            False,
+            "path4 search: found=0, exhausted=False",
+        )
+
+    def test_criterion_9_hit(self, monkeypatch):
+        real = acceptance.search_blowups
+        hit = (p4_mixed_spec(1, 2, 2, 1),)
+        monkeypatch.setattr(
+            acceptance,
+            "search_blowups",
+            lambda base, budget, jobs=1: real(base, budget, jobs=jobs)._replace(found=hit),
+        )
+        assert _BY_NUMBER[9](_Registry(), "quick", 1) == (
+            False,
+            "path4 search: found=1, exhausted=True",
+        )
+
+    @staticmethod
+    def _spoil_sweep(monkeypatch, family, index, **change) -> None:
+        # the index-th searched tree of the sweep over ``family`` parts
+        # gets its search report changed
+        real = acceptance.verify_tree_theorem
+
+        def spoiled(n_max, budget, jobs=1):
+            out = real(n_max, budget, jobs=jobs)
+            if budget.part_family == family:
+                searched = [i for i, tr in enumerate(out) if tr.status == "searched"]
+                i = searched[index]
+                out[i] = out[i]._replace(search=out[i].search._replace(**change))
+            return out
+
+        monkeypatch.setattr(acceptance, "verify_tree_theorem", spoiled)
+
+    def test_criterion_10_ik_sweep(self, monkeypatch):
+        self._spoil_sweep(monkeypatch, FAMILY_IK, 1, exhausted=False)
+        assert _BY_NUMBER[10](_Registry(), "full", 1) == (
+            False,
+            "tree DC[ I/K sweep: found=0, exhausted=False",
+        )
+
+    def test_criterion_10_all_parts_sweep(self, monkeypatch):
+        self._spoil_sweep(monkeypatch, FAMILY_ALL, 0, found=(star_spec((1, 1)),))
+        assert _BY_NUMBER[10](_Registry(), "full", 1) == (
+            False,
+            "tree CL all-parts sweep: found=1, exhausted=True",
+        )

@@ -480,6 +480,23 @@ class TestLemmaTable:
         ]
         assert err == "# complete class maximal at every grid point\n"
 
+    def test_violations_are_named_and_exit_one(self, capsys, monkeypatch):
+        # swap the first slot's expected winner: at b = 1 every class
+        # ties at 0, so only the four b = 2 points violate
+        argv = ("lemma-table", "--slot", "first", "--m", "2", "--grid-max", "2")
+        _, table, _ = run(capsys, *argv)
+        monkeypatch.setitem(bugraph.search._LEMMA_WINNERS, "first", "edgeless")
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == table
+        assert err.splitlines() == [
+            "violation at (2, 1, 1): edgeless class not maximal",
+            "violation at (2, 1, 2): edgeless class not maximal",
+            "violation at (2, 2, 1): edgeless class not maximal",
+            "violation at (2, 2, 2): edgeless class not maximal",
+            "4 grid points violate the expectation",
+        ]
+
     @pytest.mark.parametrize("argv", [("--m", "6"), ("--m", "0"), ("--grid-max", "0")])
     def test_out_of_range_is_bad_input(self, capsys, argv):
         code, out, _ = run(capsys, "lemma-table", *argv)

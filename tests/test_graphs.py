@@ -20,6 +20,7 @@ from bugraph.graphs import (
     TREE_ENUM_CAP,
     Graph,
     Graph6Error,
+    _g6_decode_n,
     automorphisms,
     bfs_distances,
     canonical_form,
@@ -117,6 +118,35 @@ class TestGraph6:
         with pytest.raises(Graph6Error) as exc:
             parse_graph6("A" + chr(20))
         assert exc.value.offset == 1
+
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("", "empty graph6 string", 0),
+            (">>graph6<<", "empty graph6 string", 10),
+            ("~??", "truncated vertex-count field", 3),
+            ("~?!?", "byte 33 outside graph6 range", 2),
+            ("~~???~?!", "byte 33 outside graph6 range", 7),
+            ("A\u00e9", "non-ascii byte", 1),
+            (">>graph6<<A\u00e9", "non-ascii byte", 11),
+        ],
+    )
+    def test_header_faults_name_their_offset(self, text, message, offset):
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6(text)
+        assert exc.value.offset == offset
+        assert str(exc.value) == f"{message} (byte offset {offset})"
+
+    def test_eight_byte_vertex_count(self):
+        # "~~" opens the 8-byte form: six 6-bit groups 0,0,0,63,0,0 give
+        # n = 63 * 64^2 = 258,048.  The body such an n needs (about 33
+        # billion bits) is missing, and that is found before any edge
+        # is decoded or any body allocated.
+        assert _g6_decode_n(b"~~???~??", 0) == (258048, 8)
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6("~~???~??")
+        assert exc.value.offset == 8
+        assert str(exc.value) == "truncated edge data (byte offset 8)"
 
     def test_large_n_form(self):
         g = generate("path", 80)
