@@ -50,9 +50,9 @@ from .search import (
     SearchBudget,
     SearchReport,
     explore_cut_conjecture,
+    lemma_grid,
     lemma_table,
     search_blowups,
-    verify_lemma,
     verify_tree_theorem,
 )
 
@@ -83,6 +83,7 @@ __all__ = [
     "is_connected",
     "is_isomorphic",
     "is_two_connected",
+    "lemma_grid",
     "lemma_table",
     "p2_clique_spec",
     "p3_independent_spec",
@@ -95,6 +96,5 @@ __all__ = [
     "spec_from_json",
     "spec_to_json",
     "star_spec",
-    "verify_lemma",
     "verify_tree_theorem",
 ]

@@ -11,6 +11,10 @@ betweenness-uniform graph the run produces and every claimed-empty
 search so the final sanity check can audit them in one place.
 It also holds the one corpus pass that criteria 6 and 7 share, built
 afresh by each ``run_suite`` when the first of the two runs.
+Two drivers carry the repeated checks: ``_uniform_blowups`` builds,
+decides and registers the stock families of criteria 3-5, and
+``_record_search`` registers a search and words the fault of a claimed
+empty search that found something or stopped early (criteria 9, 10).
 ``run_suite`` returns the results and prints nothing; the
 ``verify-paper`` command prints their verdict lines and the summary.
 
@@ -77,8 +81,8 @@ from .search import (
     SearchBudget,
     SearchReport,
     explore_cut_conjecture,
+    lemma_grid,
     search_blowups,
-    verify_lemma,
     verify_tree_theorem,
 )
 
@@ -124,10 +128,28 @@ class _Registry:
             self.empty_claims.append((source, report))
 
 
-def _record_search(reg: _Registry, source: str, report: SearchReport) -> None:
+def _record_search(reg: _Registry, source: str, report: SearchReport) -> str | None:
+    """Register the search's hits and its claim; return the fault of a
+    search that found something or was not exhausted, else None."""
     for spec in report.found:
         reg.add_uniform(blow_up(spec).graph, source)
     reg.add_claim(source, report)
+    if report.found or not report.exhausted:
+        return f"{source}: found={len(report.found)}, exhausted={report.exhausted}"
+    return None
+
+
+def _uniform_blowups(reg: _Registry, source: str, specs, common=None):
+    """Blow up, decide exactly and register each spec while it is
+    uniform (at ``common``, when given); return the first spec that is
+    not, with its verdict, or None."""
+    for spec in specs:
+        g = blow_up(spec).graph
+        uni = profile_uniformity(betweenness_exact(g))
+        if not uni.uniform or (common is not None and uni.common != common):
+            return spec, uni
+        reg.add_uniform(g, source)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -170,28 +192,18 @@ def _c2_c4_blowup(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
 
 
 def _c3_p3_family(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
-    for a in range(1, 7):
-        for b in range(1, 7):
-            spec = p3_independent_spec(a, b)
-            g = blow_up(spec).graph
-            uni = profile_uniformity(betweenness_exact(g))
-            if not uni.uniform:
-                return False, f"{spec.label()} not uniform"
-            reg.add_uniform(g, "path3 family")
+    specs = (p3_independent_spec(a, b) for a in range(1, 7) for b in range(1, 7))
+    fault = _uniform_blowups(reg, "path3 family", specs)
+    if fault:
+        return False, f"{fault[0].label()} not uniform"
     return True, "all 36 path3 independent-set blow-ups uniform (sizes 1..6)"
 
 
 def _c4_star_family(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
-    cases = 0
-    for k in range(1, 5):
-        for sizes in product(range(1, 5), repeat=k):
-            spec = star_spec(sizes)
-            g = blow_up(spec).graph
-            uni = profile_uniformity(betweenness_exact(g))
-            if not uni.uniform:
-                return False, f"{spec.label()} not uniform"
-            reg.add_uniform(g, "star family")
-            cases += 1
+    specs = [star_spec(sizes) for k in range(1, 5) for sizes in product(range(1, 5), repeat=k)]
+    fault = _uniform_blowups(reg, "star family", specs)
+    if fault:
+        return False, f"{fault[0].label()} not uniform"
     # negative controls: a center of the wrong size must break uniformity
     controls = 0
     for sizes in ((1, 1), (2, 1), (2, 2, 2), (1, 2, 3), (4, 4, 4, 4)):
@@ -208,17 +220,15 @@ def _c4_star_family(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
             if uni.uniform:
                 return False, f"negative control {spoiled.label()} is uniform"
             controls += 1
-    return True, f"{cases} star blow-ups uniform; {controls} perturbed centers all non-uniform"
+    return True, f"{len(specs)} star blow-ups uniform; {controls} perturbed centers all non-uniform"
 
 
 def _c5_p2_family(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
-    for m in range(1, 9):
-        spec = p2_clique_spec(m)
-        g = blow_up(spec).graph
-        uni = profile_uniformity(betweenness_exact(g))
-        if not (uni.uniform and uni.common == 0):
-            return False, f"{spec.label()}: {uni}"
-        reg.add_uniform(g, "path2 clique family")
+    specs = (p2_clique_spec(m) for m in range(1, 9))
+    fault = _uniform_blowups(reg, "path2 clique family", specs, common=0)
+    if fault:
+        spec, uni = fault
+        return False, f"{spec.label()}: {uni}"
     return True, "path2 clique blow-ups uniform at 0 for sizes 1..8"
 
 
@@ -239,15 +249,16 @@ def _corpus_pass() -> tuple[tuple[bool, str], tuple[bool, str]]:
 
     Per spec: one ``blow_up``, one exact profile, one ``shares_by_part``
     and one ``decompose_betweenness`` per vertex, read by both checks.
-    Each check keeps its first failure and stops counting there; the
-    pass stops once both have failed.  An exception inside the pass is
-    not cached, so each criterion reports it as its own crash.
+    Each check keeps its first failure, and the pass stops once both
+    have failed.  A passing check has seen every corpus vertex, so both
+    pass messages read one vertex count.  An exception inside the pass
+    is not cached, so each criterion reports it as its own crash.
     """
     c6 = c7 = None  # first failure message of each
     vertices = 0
-    checked = {"global": 0, "neighbor": 0, "own": 0}
     for spec in _corpus_specs():
         bg = blow_up(spec)
+        vertices += bg.graph.n
         profile = betweenness_exact(bg.graph)
         shares = list(shares_by_part(spec))
         if c6 is None:
@@ -256,11 +267,8 @@ def _corpus_pass() -> tuple[tuple[bool, str], tuple[bool, str]]:
                 c6 = f"part-by-part values differ from the exact profile of {spec.label()}"
         for v in range(bg.graph.n):
             dec = decompose_betweenness(bg, v)
-            if c6 is None:
-                if dec.total() != profile[v]:
-                    c6 = f"decomposition mismatch at vertex {v} of {spec.label()}"
-                else:
-                    vertices += 1
+            if c6 is None and dec.total() != profile[v]:
+                c6 = f"decomposition mismatch at vertex {v} of {spec.label()}"
             if c7 is None:
                 k = bg.part_of[v]
                 glob, nbr, own = shares[k]
@@ -273,7 +281,6 @@ def _corpus_pass() -> tuple[tuple[bool, str], tuple[bool, str]]:
                     if got != want:
                         c7 = f"{share} share of part {k} of {spec.label()} disagrees at vertex {v}"
                         break
-                    checked[share] += 1
         if c6 is not None and c7 is not None:
             break
     c6_pass = True, (
@@ -281,8 +288,8 @@ def _corpus_pass() -> tuple[tuple[bool, str], tuple[bool, str]]:
         f"of {_CORPUS_SIZE} random specs"
     )
     c7_pass = True, (
-        f"global share at {checked['global']}, neighbor shares at "
-        f"{checked['neighbor']} and own share at {checked['own']} vertices "
+        f"global share at {vertices}, neighbor shares at "
+        f"{vertices} and own share at {vertices} vertices "
         f"of {_CORPUS_SIZE} random specs all exact"
     )
     return ((False, c6) if c6 else c6_pass), ((False, c7) if c7 else c7_pass)
@@ -297,14 +304,15 @@ def _c7_closed_forms(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
 
 
 def _c8_lemmas(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
-    grid = list(product((1, 2, 3), repeat=3))
     for m in range(1, 5):
-        for a, c, d in grid:
-            if not verify_lemma("second", m, (a, c, d)):
-                return False, f"independent-part lemma fails at m={m}, (a,c,d)=({a},{c},{d})"
-        for b, c, d in grid:
-            if not verify_lemma("first", m, (b, c, d)):
-                return False, f"clique-part lemma fails at m={m}, (b,c,d)=({b},{c},{d})"
+        for slot, lemma, names in (
+            ("second", "independent", "a,c,d"),
+            ("first", "clique", "b,c,d"),
+        ):
+            for context, _, _, holds in lemma_grid(slot, m, 3):
+                if not holds:
+                    at = ",".join(map(str, context))
+                    return False, f"{lemma}-part lemma fails at m={m}, ({names})=({at})"
     return True, "both extremal-part lemmas hold for m <= 4 over the full 27-point grids"
 
 
@@ -333,11 +341,9 @@ def _c9_p4_infeasible(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]
     max_size = 6 if level == "full" else 4
     budget = SearchBudget(part_family=FAMILY_IK, max_part_size=max_size)
     report = search_blowups(generate("path", 4), budget, jobs=jobs)
-    _record_search(reg, "path4 search", report)
-    if report.found or not report.exhausted:
-        return False, (
-            f"path4 search: found={len(report.found)}, exhausted={report.exhausted}"
-        )
+    fault = _record_search(reg, "path4 search", report)
+    if fault:
+        return False, fault
     return True, (
         "the path4 inequalities never hold together at any positive sizes: their "
         "cleared slacks satisfy c*s1 + b*s2 = -(a+c)(b+d)(ac(c+d) + bd(a+b)), "
@@ -348,24 +354,18 @@ def _c9_p4_infeasible(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]
 
 def _c10_tree_sweeps(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
     searched = 0
-    ik = SearchBudget(part_family=FAMILY_IK, max_part_size=4)
-    for tr in verify_tree_theorem(6, ik, jobs=jobs):
-        if tr.status == "construction":
-            reg.add_uniform(blow_up(tr.construction).graph, "tree construction")
-        elif tr.status == "searched":
-            name = f"tree {serialize_graph6(tr.tree)} I/K sweep"
-            _record_search(reg, name, tr.search)
-            if tr.search.found or not tr.search.exhausted:
-                return False, f"{name}: found={len(tr.search.found)}, exhausted={tr.search.exhausted}"
-            searched += 1
-    all3 = SearchBudget(part_family=FAMILY_ALL, max_part_size=3)
-    for tr in verify_tree_theorem(5, all3, jobs=jobs):
-        if tr.status == "searched":
-            name = f"tree {serialize_graph6(tr.tree)} all-parts sweep"
-            _record_search(reg, name, tr.search)
-            if tr.search.found or not tr.search.exhausted:
-                return False, f"{name}: found={len(tr.search.found)}, exhausted={tr.search.exhausted}"
-            searched += 1
+    for n_max, budget, sweep in (
+        (6, SearchBudget(part_family=FAMILY_IK, max_part_size=4), "I/K sweep"),
+        (5, SearchBudget(part_family=FAMILY_ALL, max_part_size=3), "all-parts sweep"),
+    ):
+        for tr in verify_tree_theorem(n_max, budget, jobs=jobs):
+            if tr.status == "construction":
+                reg.add_uniform(blow_up(tr.construction).graph, "tree construction")
+            elif tr.status == "searched":
+                fault = _record_search(reg, f"tree {serialize_graph6(tr.tree)} {sweep}", tr.search)
+                if fault:
+                    return False, fault
+                searched += 1
     return True, (
         f"{searched} exhaustive tree-base searches all empty "
         "(long trees <= 6 with I/K parts <= 4; <= 5 with arbitrary parts <= 3)"

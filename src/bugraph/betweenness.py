@@ -52,7 +52,6 @@ __all__ = [
     "UniformityResult",
     "betweenness_exact",
     "betweenness_oracle",
-    "format_rational",
     "is_betweenness_uniform",
     "oracle_split",
     "profile_json",
@@ -298,20 +297,15 @@ def is_betweenness_uniform(g: Graph) -> UniformityResult:
 # rendering
 
 
-def format_rational(x: Fraction) -> str:
-    """Lowest-terms decimal-free rendering: "p/q", or "p" for integers."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def profile_json(values) -> dict:
-    """JSON-ready profile: n, values, and the uniformity verdict."""
+    """JSON-ready profile: n, values, and the uniformity verdict.  A
+    rational is written as ``str`` writes a ``Fraction``: "p/q" in
+    lowest terms, or "p" for an integer."""
     vals = list(values)
     u = profile_uniformity(vals)
     return {
         "n": len(vals),
-        "values": [format_rational(v) for v in vals],
+        "values": [str(v) for v in vals],
         "uniform": u.uniform,
-        "common": format_rational(u.common) if u.uniform and u.common is not None else None,
+        "common": str(u.common) if u.uniform and u.common is not None else None,
     }

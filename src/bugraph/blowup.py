@@ -44,8 +44,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from .betweenness import format_rational, oracle_split
-from .graphs import Graph, generate, parse_graph6, serialize_graph6
+from .betweenness import oracle_split
+from .graphs import Graph, parse_graph6, serialize_graph6
 
 __all__ = [
     "BlownGraph",
@@ -82,6 +82,9 @@ class PartDescriptor(namedtuple("PartDescriptor", "kind size graph")):
         if kind in (PART_INDEPENDENT, PART_CLIQUE):
             if graph is not None:
                 raise ValueError("I/K parts are given by size, not by graph")
+            # type(), not isinstance(): True must not read as 1
+            if type(size) is not int:
+                raise ValueError(f"part size must be an integer, not {size!r}")
             if size < 1:
                 raise ValueError("part needs at least one vertex")
         elif kind == PART_EXPLICIT:
@@ -114,14 +117,6 @@ class PartDescriptor(namedtuple("PartDescriptor", "kind size graph")):
         if g.edge_count == g.n * (g.n - 1) // 2:
             return cls.clique(g.n)
         return cls.explicit(g)
-
-    def realize(self) -> Graph:
-        if self.kind == PART_INDEPENDENT:
-            return generate("empty", self.size)
-        if self.kind == PART_CLIQUE:
-            return generate("complete", self.size)
-        assert self.graph is not None
-        return self.graph
 
     def label(self) -> str:
         if self.kind == PART_EXPLICIT:
@@ -542,11 +537,7 @@ def _part_from_json(obj: dict) -> PartDescriptor:
     if kind == PART_EXPLICIT:
         return PartDescriptor.explicit(_graph_from_json(obj["graph6"]))
     if kind in (PART_INDEPENDENT, PART_CLIQUE):
-        size = obj["size"]
-        # bool is a subclass of int, and true must not read as 1
-        if not isinstance(size, int) or isinstance(size, bool):
-            raise ValueError(f"part size must be a JSON integer, not {size!r}")
-        return PartDescriptor(kind, size)
+        return PartDescriptor(kind, obj["size"])
     raise ValueError(f"unknown part kind {kind!r}")
 
 
@@ -568,10 +559,9 @@ def spec_from_json(obj: dict) -> BlowupSpec:
 def decomposition_json(dec: Decomposition) -> dict:
     return {
         "vertex": dec.vertex,
-        "global_part": format_rational(dec.global_part),
-        "own_local": format_rational(dec.own_local),
+        "global_part": str(dec.global_part),
+        "own_local": str(dec.own_local),
         "neighbor_locals": {
-            str(j): format_rational(dec.neighbor_locals[j])
-            for j in sorted(dec.neighbor_locals)
+            str(j): str(dec.neighbor_locals[j]) for j in sorted(dec.neighbor_locals)
         },
     }

@@ -75,7 +75,7 @@ def star_spec(sizes) -> BlowupSpec:
     """Independent sets I_{s_1}..I_{s_k} on the leaves of a star, with
     the center part of size sum(s_i).  The center is the last base
     vertex, matching the star generator."""
-    sizes = tuple(int(s) for s in sizes)
+    sizes = tuple(sizes)
     if not sizes:
         raise ValueError("need at least one leaf part")
     if any(s < 1 for s in sizes):

@@ -34,7 +34,6 @@ __all__ = [
     "generate",
     "is_connected",
     "is_isomorphic",
-    "is_tree",
     "is_two_connected",
     "orbit",
     "parse_graph6",
@@ -121,11 +120,6 @@ class Graph(namedtuple("Graph", "n edges")):
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex out of range: {(u, v)}")
-        return (self.adjacency_bits[u] >> v) & 1 == 1
-
     def relabel(self, new_of_old) -> "Graph":
         """Return the graph with vertex ``v`` renamed ``new_of_old[v]``."""
         if sorted(new_of_old) != list(range(self.n)):
@@ -172,10 +166,6 @@ def diameter(g: Graph) -> int:
     if -1 in dist[0]:
         raise ValueError("diameter undefined for disconnected graph")
     return max(map(max, dist))
-
-
-def is_tree(g: Graph) -> bool:
-    return g.n >= 1 and g.edge_count == g.n - 1 and is_connected(g)
 
 
 def cut_vertices(g: Graph) -> list[int]:

@@ -83,11 +83,11 @@ __all__ = [
     "TreeBlowupReport",
     "candidate_parts",
     "explore_cut_conjecture",
+    "lemma_grid",
     "lemma_table",
     "report_to_json",
     "report_tsv_line",
     "search_blowups",
-    "verify_lemma",
     "verify_tree_theorem",
 ]
 
@@ -122,12 +122,17 @@ class SearchBudget(
     ):
         if part_family not in (FAMILY_IK, FAMILY_ALL):
             raise ValueError(f"unknown part family {part_family!r}")
+        # type(), not isinstance(): True must not pass for 1
+        if type(max_part_size) is not int:
+            raise ValueError(f"max_part_size must be an integer, not {max_part_size!r}")
         if max_part_size < 1:
             raise ValueError("max_part_size must be >= 1")
         if part_family == FAMILY_ALL and max_part_size > _ALL_FAMILY_SIZE_CAP:
             raise ValueError(
                 f"family {FAMILY_ALL!r} supports max_part_size <= {_ALL_FAMILY_SIZE_CAP}"
             )
+        if max_total_vertices is not None and type(max_total_vertices) is not int:
+            raise ValueError(f"max_total_vertices must be an integer, not {max_total_vertices!r}")
         if max_total_vertices is not None and max_total_vertices < 2:
             raise ValueError("max_total_vertices must be >= 2")
         # written so that NaN, which compares false, is rejected too;
@@ -414,16 +419,16 @@ def lemma_table(
     return rows
 
 
-def _lemma_holds(slot: str, m: int, rows: list[tuple[Graph, Fraction]]) -> bool:
-    want = 0 if _LEMMA_WINNERS[slot] == "edgeless" else m * (m - 1) // 2
-    best = max(v for _, v in rows)
-    return any(v == best for h, v in rows if h.edge_count == want)
-
-
-def verify_lemma(slot: str, m: int, context: tuple[int, int, int]) -> bool:
-    """True iff the class the slot's lemma names (edgeless second,
-    complete first) attains the exact maximum ratio."""
-    return _lemma_holds(slot, m, lemma_table(slot, m, context))
+def lemma_grid(slot: str, m: int, grid_max: int):
+    """Yield ``(context, rows, best, holds)`` for every context in
+    {1..grid_max}^3, in product order: the context's ``lemma_table``
+    rows, their maximum ratio, and whether the class the slot's lemma
+    names (edgeless second, complete first) attains that maximum."""
+    for context in product(range(1, grid_max + 1), repeat=3):
+        rows = lemma_table(slot, m, context)
+        want = 0 if _LEMMA_WINNERS[slot] == "edgeless" else m * (m - 1) // 2
+        best = max(v for _, v in rows)
+        yield context, rows, best, any(v == best for h, v in rows if h.edge_count == want)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from bugraph.betweenness import (
     _twin_classes,
     betweenness_exact,
     betweenness_oracle,
-    format_rational,
     is_betweenness_uniform,
     oracle_split,
     profile_json,
@@ -247,7 +246,7 @@ def _twin_class_kinds(g: Graph) -> set[str]:
     kinds = set()
     for members in _twin_classes(g):
         if len(members) > 1 and g.adjacency[members[0]]:
-            kinds.add("K" if g.has_edge(members[0], members[1]) else "I")
+            kinds.add("K" if members[1] in g.adjacency[members[0]] else "I")
     return kinds
 
 
@@ -360,12 +359,16 @@ class TestUniformity:
 
 
 class TestSerialization:
+    """JSON output writes each rational with ``str``: "p/q" in lowest
+    terms, or "p" for an integer, and ``Fraction`` reads it back."""
+
     @pytest.mark.parametrize("x", [Fraction(0), Fraction(3), Fraction(1, 2), Fraction(-7, 3)])
     def test_rational_round_trip(self, x):
-        assert Fraction(format_rational(x)) == x
+        assert Fraction(str(x)) == x
 
     def test_integers_render_bare(self):
-        assert format_rational(Fraction(4, 2)) == "2"
+        assert str(Fraction(4, 2)) == "2"
+        assert profile_json([Fraction(4, 2), 2])["values"] == ["2", "2"]
 
     def test_profile_json_shape(self):
         obj = profile_json(betweenness_exact(generate("cycle", 4)))

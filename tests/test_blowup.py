@@ -58,6 +58,14 @@ def blowup_specs(
     return BlowupSpec(base=base, parts=parts)
 
 
+def _part_graph(p: PartDescriptor) -> Graph:
+    if p.kind == "I":
+        return generate("empty", p.size)
+    if p.kind == "K":
+        return generate("complete", p.size)
+    return p.graph
+
+
 def _rebuilt_edges(spec: BlowupSpec) -> set[tuple[int, int]]:
     # reconstruct the expected edge set from scratch
     offs = [0]
@@ -65,7 +73,7 @@ def _rebuilt_edges(spec: BlowupSpec) -> set[tuple[int, int]]:
         offs.append(offs[-1] + p.size)
     edges: set[tuple[int, int]] = set()
     for i, p in enumerate(spec.parts):
-        for u, v in p.realize().edges:
+        for u, v in _part_graph(p).edges:
             edges.add((offs[i] + u, offs[i] + v))
     for i, j in spec.base.edges:
         for u in range(offs[i], offs[i + 1]):
@@ -126,6 +134,12 @@ class TestConstruction:
             assert vs == tuple(range(expect, expect + p.size))
             assert all(bg.part_of[v] == i for v in vs)
             expect += p.size
+
+    @pytest.mark.parametrize("size", [2.5, 2.0, True, "2", None])
+    @pytest.mark.parametrize("kind", ["I", "K"])
+    def test_part_size_must_be_an_int(self, kind, size):
+        with pytest.raises(ValueError, match="part size"):
+            PartDescriptor(kind, size)
 
     def test_rejects_single_vertex_base(self):
         with pytest.raises(ValueError, match="^blow-up base needs at least two vertices$"):

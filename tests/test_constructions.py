@@ -98,6 +98,11 @@ class TestStarFamily:
         with pytest.raises(ValueError):
             star_spec((2, 0))
 
+    def test_rejects_non_integer_sizes(self):
+        # never truncated to BW[I1,I2,I3]
+        with pytest.raises(ValueError, match="part size"):
+            star_spec([1.5, 2.9])
+
 
 class TestP4Mixed:
     def test_part_layout(self):

@@ -42,11 +42,11 @@ from bugraph.search import (
     _size_orbits,
     candidate_parts,
     explore_cut_conjecture,
+    lemma_grid,
     lemma_table,
     report_to_json,
     report_tsv_line,
     search_blowups,
-    verify_lemma,
     verify_tree_theorem,
 )
 
@@ -347,6 +347,14 @@ class TestCandidates:
         with pytest.raises(ValueError, match="^max_total_vertices must be >= 2$"):
             SearchBudget(max_total_vertices=1)
 
+    @pytest.mark.parametrize("bound", [2.5, 4.0, True, "4", None])
+    def test_budget_sizes_must_be_ints(self, bound):
+        with pytest.raises(ValueError, match="^max_part_size must be an integer"):
+            SearchBudget(max_part_size=bound)
+        if bound is not None:
+            with pytest.raises(ValueError, match="^max_total_vertices must be an integer"):
+                SearchBudget(max_total_vertices=bound)
+
 
 class TestSearch:
     def test_path3_family_found(self):
@@ -457,16 +465,44 @@ class TestSearch:
         }
 
 
+def _holds(slot: str, m: int, grid_max: int) -> dict:
+    return {context: holds for context, _, _, holds in lemma_grid(slot, m, grid_max)}
+
+
 class TestLemmas:
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_independent_maximizer(self, m):
-        assert verify_lemma("second", m, (1, 1, 1))
-        assert verify_lemma("second", m, (2, 1, 2))
+        holds = _holds("second", m, 2)
+        assert holds[(1, 1, 1)] and holds[(2, 1, 2)]
+        assert all(holds.values())
 
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_clique_maximizer(self, m):
-        assert verify_lemma("first", m, (1, 1, 1))
-        assert verify_lemma("first", m, (2, 2, 1))
+        holds = _holds("first", m, 2)
+        assert holds[(1, 1, 1)] and holds[(2, 2, 1)]
+        assert all(holds.values())
+
+    @pytest.mark.parametrize("slot", ("first", "second"))
+    def test_grid_reads_the_tables_in_product_order(self, slot):
+        grid = list(lemma_grid(slot, 3, 2))
+        assert [context for context, _, _, _ in grid] == list(product((1, 2), repeat=3))
+        for context, rows, best, _ in grid:
+            assert rows == lemma_table(slot, 3, context)
+            assert best == max(v for _, v in rows)
+
+    def test_grid_flags_a_lost_maximum(self, monkeypatch):
+        # the complete class sinks below the edgeless one at one point
+        real = bugraph.search.lemma_table
+
+        def sunk(slot, m, context):
+            rows = real(slot, m, context)
+            if context == (2, 1, 2):
+                rows = [(h, v - 1 if h.edge_count == 3 else v) for h, v in rows]
+            return rows
+
+        monkeypatch.setattr(bugraph.search, "lemma_table", sunk)
+        holds = _holds("first", 3, 2)
+        assert [ctx for ctx, ok in holds.items() if not ok] == [(2, 1, 2)]
 
     def test_clique_table_is_monotone_like(self):
         rows = lemma_table("first", 3, (1, 1, 1))
@@ -475,7 +511,7 @@ class TestLemmas:
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            verify_lemma("second", 6, (1, 1, 1))
+            next(lemma_grid("second", 6, 1))
 
     @pytest.mark.parametrize("slot", ("first", "second"))
     def test_table_matches_delta_extremal(self, slot):
