@@ -17,8 +17,8 @@ from bugraph.acceptance import CRITERIA, _corpus_specs, _Registry, run_suite
 from bugraph.betweenness import betweenness_exact, profile_uniformity
 from bugraph.blowup import blow_up
 from bugraph.constructions import p2_clique_spec, p3_independent_spec, p4_mixed_spec, star_spec
-from bugraph.graphs import enumerate_graphs, is_connected
-from bugraph.search import FAMILY_ALL, FAMILY_IK
+from bugraph.graphs import enumerate_graphs, generate, is_connected, parse_graph6
+from bugraph.search import FAMILY_ALL, FAMILY_IK, SearchBudget, SearchReport
 
 C6_PASS = "identity and part-by-part values exact at all 1948 vertices of 200 random specs"
 C7_PASS = (
@@ -378,3 +378,97 @@ class TestSearchClaimFailures:
             False,
             "tree CL all-parts sweep: found=1, exhausted=True",
         )
+
+
+class TestOtherCriterionFailures:
+    """Criteria 1, 2, 11 and 12 name what they found at fault."""
+
+    def test_criterion_1_names_a_disagreement(self, monkeypatch):
+        # the oracle gains 1 at vertex 0 of the 4-path's class only
+        target = parse_graph6("CL")
+        oracle = acceptance.betweenness_oracle
+
+        def bumped(g):
+            profile = oracle(g)
+            if g == target:
+                profile[0] += 1
+            return profile
+
+        monkeypatch.setattr(acceptance, "betweenness_oracle", bumped)
+        assert _BY_NUMBER[1](_Registry(), "full", 1) == (False, "algorithms disagree on CL")
+
+    def test_criterion_2_wants_the_4_cycle(self, monkeypatch):
+        monkeypatch.setattr(acceptance, "is_isomorphic", lambda g, h: False)
+        assert _BY_NUMBER[2](_Registry(), "full", 1) == (False, "Bg[K1,I2,K1] is not the 4-cycle")
+
+    def test_criterion_2_wants_one_half(self, monkeypatch):
+        monkeypatch.setattr(acceptance, "betweenness_oracle", lambda g: [Fraction(1)] * g.n)
+        assert _BY_NUMBER[2](_Registry(), "full", 1) == (
+            False,
+            "Bg[K1,I2,K1] profile wrong: UniformityResult(uniform=True, common=Fraction(1, 1))",
+        )
+
+    @staticmethod
+    def _spoil_cut_sweep(monkeypatch, index, **change) -> None:
+        real = acceptance.explore_cut_conjecture
+
+        def spoiled(n_max, budget, jobs=1):
+            out = real(n_max, budget, jobs=jobs)
+            out[index] = out[index]._replace(**change)
+            return out
+
+        monkeypatch.setattr(acceptance, "explore_cut_conjecture", spoiled)
+
+    def test_criterion_12_unexhausted_search(self, monkeypatch):
+        self._spoil_cut_sweep(monkeypatch, 1, exhausted=False)
+        assert _BY_NUMBER[12](_Registry(), "full", 1) == (False, "search on DBk not exhausted")
+
+    def test_criterion_12_reports_counterexamples(self, monkeypatch):
+        # a hit is news about the paper's question, not a library fault
+        hits = (p4_mixed_spec(1, 2, 2, 1), p4_mixed_spec(2, 1, 1, 2))
+        self._spoil_cut_sweep(monkeypatch, 0, found=hits)
+        assert _BY_NUMBER[12](_Registry(), "full", 1) == (
+            True,
+            "COUNTEREXAMPLES to the cut-vertex expectation: Ch[K1,I2,I2,K1], Ch[K2,I1,I1,K2]",
+        )
+
+    def test_criterion_11_names_a_uniform_graph_with_a_cut_vertex(self):
+        reg = _Registry()
+        reg.add_uniform(generate("cycle", 4), "a cycle")
+        reg.add_uniform(generate("path", 3), "a planted path")
+        assert _BY_NUMBER[11](reg, "full", 1) == (
+            False,
+            "uniform graph Bg from a planted path is not two-connected",
+        )
+
+    def test_criterion_11_names_an_unexhausted_claim(self):
+        reg = _Registry()
+        budget = SearchBudget(part_family=FAMILY_IK, max_part_size=2)
+        reg.add_claim("a stopped search", SearchReport(generate("path", 4), budget, [], False, 3))
+        assert _BY_NUMBER[11](reg, "full", 1) == (
+            False,
+            "empty claim from a stopped search was not exhausted",
+        )
+
+
+def test_run_suite_refuses_an_unknown_level():
+    with pytest.raises(ValueError, match=r"^unknown level 'medium'$"):
+        run_suite(level="medium")
+
+
+def test_a_crashing_criterion_fails_with_its_exception(monkeypatch):
+    def crash(reg, level, jobs):
+        raise RuntimeError("boom")
+
+    sanity = (11, "sanity", _BY_NUMBER[11])
+    monkeypatch.setattr(acceptance, "CRITERIA", [(3, "crashes", crash), sanity])
+    results = run_suite(level="quick")
+    assert [(r.number, r.name, r.passed, r.detail) for r in results] == [
+        (3, "crashes", False, "crashed: RuntimeError: boom"),
+        (
+            11,
+            "sanity",
+            True,
+            "0 distinct uniform graphs all two-connected; 0 empty-search claims all exhausted",
+        ),
+    ]

@@ -14,6 +14,7 @@ import pytest
 
 import bugraph
 import bugraph.acceptance as acceptance
+import bugraph.cli as cli
 from bugraph.acceptance import _corpus_specs
 from bugraph.betweenness import betweenness_oracle
 from bugraph.blowup import (
@@ -25,6 +26,7 @@ from bugraph.blowup import (
 from bugraph.cli import main
 from bugraph.constructions import p4_mixed_spec
 from bugraph.graphs import generate, parse_graph6, serialize_graph6
+from bugraph.search import SearchReport
 
 C4 = serialize_graph6(generate("cycle", 4))
 P4 = serialize_graph6(generate("path", 4))
@@ -92,6 +94,13 @@ class TestBc:
         code, _, err = run(capsys, "bc", "-g", "!bad!")
         assert code == 3
         assert "graph6" in err
+
+    def test_empty_file(self, capsys, tmp_path):
+        path = tmp_path / "blank.g6"
+        path.write_text("\n  \n")
+        code, out, err = run(capsys, "bc", "-g", str(path))
+        assert code == 3
+        assert out == "" and err == f"error: {path}: empty file\n"
 
     def test_undecodable_file(self, capsys, tmp_path):
         path = tmp_path / "g.g6"
@@ -334,6 +343,15 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "p2", "1", "2")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "family, sizes, count",
+        [("p3", ("1",), "two"), ("p4", ("1", "2", "3"), "four")],
+    )
+    def test_wrong_arity_names_the_count(self, capsys, family, sizes, count):
+        code, out, err = run(capsys, "construct", family, *sizes)
+        assert code == 3
+        assert out == "" and err == f"error: construct {family} takes {count} sizes\n"
+
     def test_bad_size(self, capsys):
         code, _, err = run(capsys, "construct", "p3", "0", "2")
         assert code == 3
@@ -376,6 +394,11 @@ class TestSearch:
         )
         assert code == 3
         assert out == "" and "time_limit" in err
+
+    def test_disconnected_base_is_bad_input(self, capsys):
+        code, out, err = run(capsys, "search", "-g", "A?", "--literal")
+        assert code == 3
+        assert out == "" and err == "error: search base must be connected\n"
 
     def test_no_prune_flag_is_gone(self, capsys):
         assert run(capsys, "search", "-g", P4, "--no-prune")[0] == 2
@@ -447,6 +470,22 @@ class TestCensus:
         code, out, err = run(capsys, "census", *argv)
         assert code == 3
         assert out == "" and err.startswith("error: ")
+
+    def test_counterexamples_are_named(self, capsys, monkeypatch):
+        # a cut-vertex base with a uniform blow-up would refute the
+        # expectation, and census names every such spec on stderr
+        hits = [p4_mixed_spec(1, 2, 2, 1), p4_mixed_spec(2, 1, 1, 2)]
+
+        def found(n_max, budget, jobs=1):
+            return [SearchReport(generate("path", 4), budget, hits, True, 7)]
+
+        monkeypatch.setattr(cli, "explore_cut_conjecture", found)
+        code, out, err = run(capsys, "census", "cut-vertex", "--n-max", "4", "--max-size", "2")
+        assert code == 0
+        (record,) = [json.loads(line) for line in out.splitlines()]
+        assert record["base"] == "Ch"
+        assert record["search"]["found"] == [spec_to_json(s) for s in hits]
+        assert err == "COUNTEREXAMPLES: Ch[K1,I2,I2,K1], Ch[K2,I1,I1,K2]\n"
 
     def test_n_max_required(self, capsys):
         assert run(capsys, "census", "trees")[0] == 2
