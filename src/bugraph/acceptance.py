@@ -100,10 +100,6 @@ class CriterionResult(namedtuple("CriterionResult", "number name passed detail s
 
     __slots__ = ()
 
-    def line(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        return f"[{self.number:2d}] {verdict}  {self.name} ({self.seconds:.1f}s): {self.detail}"
-
 
 class _Registry:
     """Everything later audited by the sanity criterion, and the corpus

@@ -54,7 +54,6 @@ __all__ = [
     "betweenness_oracle",
     "is_betweenness_uniform",
     "oracle_split",
-    "profile_json",
     "profile_uniformity",
     "shortest_path_data",
 ]
@@ -291,21 +290,3 @@ def profile_uniformity(values) -> UniformityResult:
 
 def is_betweenness_uniform(g: Graph) -> UniformityResult:
     return profile_uniformity(betweenness_exact(g))
-
-
-# ---------------------------------------------------------------------------
-# rendering
-
-
-def profile_json(values) -> dict:
-    """JSON-ready profile: n, values, and the uniformity verdict.  A
-    rational is written as ``str`` writes a ``Fraction``: "p/q" in
-    lowest terms, or "p" for an integer."""
-    vals = list(values)
-    u = profile_uniformity(vals)
-    return {
-        "n": len(vals),
-        "values": [str(v) for v in vals],
-        "uniform": u.uniform,
-        "common": str(u.common) if u.uniform and u.common is not None else None,
-    }

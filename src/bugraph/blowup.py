@@ -58,7 +58,6 @@ __all__ = [
     "betweenness_by_part",
     "blow_up",
     "decompose_betweenness",
-    "decomposition_json",
     "delta_extremal",
     "delta_xy",
     "geodesic_plan",
@@ -554,14 +553,3 @@ def spec_from_json(obj: dict) -> BlowupSpec:
     base = _graph_from_json(obj["base"])
     parts = tuple(_part_from_json(p) for p in obj["parts"])
     return BlowupSpec(base=base, parts=parts)
-
-
-def decomposition_json(dec: Decomposition) -> dict:
-    return {
-        "vertex": dec.vertex,
-        "global_part": str(dec.global_part),
-        "own_local": str(dec.own_local),
-        "neighbor_locals": {
-            str(j): str(dec.neighbor_locals[j]) for j in sorted(dec.neighbor_locals)
-        },
-    }

@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Every subcommand prints deterministic, scriptable output (JSON except
-where noted) so runs can be diffed and piped.  ``census`` prints JSON
-lines, one object per base in enumeration order; ``lemma-table``
-prints a tab-separated table.  Exit codes separate the kinds of
-failure a pipeline may want to branch on:
+This module renders every output; the library modules return records
+and print nothing.  Every subcommand prints deterministic, scriptable
+output (JSON except where noted) so runs can be diffed and piped.
+``census`` prints JSON lines, one object per base in enumeration
+order; ``lemma-table`` prints a tab-separated table, ``search --tsv``
+one tab-separated line, and ``verify-paper`` one verdict line per
+criterion.  ``bc``, ``uniform`` and ``construct`` word the uniformity
+verdict alike, and a non-uniform one names its witness.  Exit codes
+separate the kinds of failure a pipeline may want to branch on:
 
     0   success
     2   usage error (bad flags, unknown subcommand)
@@ -28,19 +32,12 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import islice
 
-from .betweenness import (
-    betweenness_exact,
-    profile_json,
-    profile_uniformity,
-)
+from .betweenness import betweenness_exact, profile_uniformity
 from .blowup import (
-    Decomposition,
     _locate,
     blow_up,
-    decomposition_json,
     shares_by_part,
     spec_from_json,
     spec_to_json,
@@ -64,8 +61,6 @@ from .search import (
     SearchBudget,
     explore_cut_conjecture,
     lemma_grid,
-    report_to_json,
-    report_tsv_line,
     search_blowups,
     verify_tree_theorem,
 )
@@ -125,16 +120,12 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, indent=2, sort_keys=False))
 
 
-def _cmd_bc(args) -> int:
-    g = _load_graph(args.graph, args.literal)
-    _emit(profile_json(betweenness_exact(g)))
-    return EXIT_OK
-
-
 def _verdict_json(values, part_of=None) -> dict:
     """The uniformity verdict on a betweenness profile.  A non-uniform
     one names its witness: vertex 0 and the first vertex whose value
-    differs from it, their values and, given ``part_of``, their parts."""
+    differs from it, their values and, given ``part_of``, their parts.
+    A rational is written as ``str`` writes a ``Fraction``: "p/q" in
+    lowest terms, or "p" for an integer."""
     verdict = profile_uniformity(values)
     out = {
         "uniform": verdict.uniform,
@@ -149,6 +140,13 @@ def _verdict_json(values, part_of=None) -> dict:
         if part_of is not None:
             out["witness"]["parts"] = [part_of[0], part_of[v]]
     return out
+
+
+def _cmd_bc(args) -> int:
+    g = _load_graph(args.graph, args.literal)
+    values = betweenness_exact(g)
+    _emit({"n": g.n, "values": [str(v) for v in values], **_verdict_json(values)})
+    return EXIT_OK
 
 
 def _cmd_uniform(args) -> int:
@@ -191,8 +189,14 @@ def _cmd_decompose(args) -> int:
         raise _InputError(f"vertex {args.vertex} out of range for a {n}-vertex blow-up")
     k, i = _locate(spec, args.vertex)
     glob, nbr, own = next(islice(shares_by_part(spec), k, None))
-    own_local = own[i] if own else Fraction(0)
-    _emit(decomposition_json(Decomposition(args.vertex, glob, own_local, nbr)))
+    _emit(
+        {
+            "vertex": args.vertex,
+            "global_part": str(glob),
+            "own_local": str(own[i]) if own else "0",
+            "neighbor_locals": {str(j): str(nbr[j]) for j in sorted(nbr)},
+        }
+    )
     return EXIT_OK
 
 
@@ -255,10 +259,23 @@ def _cmd_search(args) -> int:
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
     if args.tsv:
-        print(report_tsv_line(report))
+        # base graph6, specs examined, hits, exhausted
+        exhausted = "true" if report.exhausted else "false"
+        g6 = serialize_graph6(report.base)
+        print(g6, report.specs_examined, len(report.found), exhausted, sep="\t")
     else:
-        _emit(report_to_json(report))
+        _emit(_report_json(report))
     return EXIT_OK
+
+
+def _report_json(report) -> dict:
+    return {
+        "base": serialize_graph6(report.base),
+        "budget": report.budget._asdict(),
+        "specs_examined": report.specs_examined,
+        "exhausted": report.exhausted,
+        "found": [spec_to_json(s) for s in report.found],
+    }
 
 
 def _tree_record(r) -> dict:
@@ -269,7 +286,7 @@ def _tree_record(r) -> dict:
         "status": r.status,
     }
     if r.status == "searched":
-        rec["search"] = report_to_json(r.search)
+        rec["search"] = _report_json(r.search)
     elif r.status == "construction":
         rec["spec"] = spec_to_json(r.construction)
         rec["common"] = str(r.construction_value)
@@ -286,7 +303,7 @@ def _cmd_census(args) -> int:
         else:
             searches = explore_cut_conjecture(args.n_max, budget, jobs=args.jobs)
             records = [
-                {"base": serialize_graph6(r.base), "search": report_to_json(r)} for r in searches
+                {"base": serialize_graph6(r.base), "search": _report_json(r)} for r in searches
             ]
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
@@ -326,13 +343,18 @@ def _cmd_lemma_table(args) -> int:
     return EXIT_OK
 
 
+def _criterion_line(r) -> str:
+    verdict = "PASS" if r.passed else "FAIL"
+    return f"[{r.number:2d}] {verdict}  {r.name} ({r.seconds:.1f}s): {r.detail}"
+
+
 def _cmd_verify(args) -> int:
     _check_jobs(args)
     from .acceptance import run_suite
 
     results = run_suite(level=args.level, jobs=args.jobs)
     for r in results:
-        print(r.line())
+        print(_criterion_line(r))
     passed = all(r.passed for r in results)
     verdict = "ALL PASS" if passed else "FAILURES PRESENT"
     print(f"== {verdict} ({sum(r.seconds for r in results):.1f}s total, level={args.level}) ==")

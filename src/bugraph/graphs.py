@@ -69,6 +69,9 @@ class Graph(namedtuple("Graph", "n edges")):
     """
 
     def __new__(cls, n: int, edges: tuple[tuple[int, int], ...] = ()):
+        # type(), not isinstance(): True must not pass for 1
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an integer, not {n!r}")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         norm = []
@@ -331,13 +334,12 @@ def serialize_graph6(g: Graph) -> str:
         head = [126, 126] + [((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0)]
     else:
         raise ValueError("graph too large for graph6")
-    body = nbits = 0
-    for j, row in enumerate(g.adjacency_bits):
-        body |= (row & ((1 << j) - 1)) << nbits  # nbits == j(j-1)/2 here
-        nbits += j
-    width = -(-nbits // 6) * 6  # padded to whole groups
-    bits = f"{body:0{width}b}"[::-1]  # low bit first
-    out = head + [int(bits[k : k + 6], 2) + 63 for k in range(0, width, 6)]
+    # one ASCII digit per body bit, zero-padded to whole 6-bit groups
+    groups = -(-(n * (n - 1) // 2) // 6)
+    bits = bytearray(b"0" * (6 * groups))
+    for i, j in g.edges:  # i < j
+        bits[j * (j - 1) // 2 + i] = 49  # "1"
+    out = head + [int(bits[k : k + 6], 2) + 63 for k in range(0, len(bits), 6)]
     return bytes(out).decode("ascii")
 
 

@@ -58,7 +58,6 @@ from .blowup import (
     _delta,
     blow_up,
     geodesic_plan,
-    spec_to_json,
 )
 from .constructions import p2_clique_spec, star_spec
 from .graphs import (
@@ -72,7 +71,6 @@ from .graphs import (
     is_connected,
     is_isomorphic,
     orbit,
-    serialize_graph6,
 )
 
 __all__ = [
@@ -85,8 +83,6 @@ __all__ = [
     "explore_cut_conjecture",
     "lemma_grid",
     "lemma_table",
-    "report_to_json",
-    "report_tsv_line",
     "search_blowups",
     "verify_tree_theorem",
 ]
@@ -135,6 +131,8 @@ class SearchBudget(
             raise ValueError(f"max_total_vertices must be an integer, not {max_total_vertices!r}")
         if max_total_vertices is not None and max_total_vertices < 2:
             raise ValueError("max_total_vertices must be >= 2")
+        if time_limit is not None and type(time_limit) not in (int, float):
+            raise ValueError(f"time_limit must be a number of seconds, not {time_limit!r}")
         # written so that NaN, which compares false, is rejected too;
         # infinity would pass through to the report, where JSON has no
         # spelling for it
@@ -510,38 +508,3 @@ def explore_cut_conjecture(
         for g in enumerate_graphs(n)
         if is_connected(g) and cut_vertices(g) and diameter(g) >= 3
     ]
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def budget_to_json(budget: SearchBudget) -> dict:
-    return {
-        "part_family": budget.part_family,
-        "max_part_size": budget.max_part_size,
-        "max_total_vertices": budget.max_total_vertices,
-        "time_limit": budget.time_limit,
-    }
-
-
-def report_to_json(report: SearchReport) -> dict:
-    return {
-        "base": serialize_graph6(report.base),
-        "budget": budget_to_json(report.budget),
-        "specs_examined": report.specs_examined,
-        "exhausted": report.exhausted,
-        "found": [spec_to_json(s) for s in report.found],
-    }
-
-
-def report_tsv_line(report: SearchReport) -> str:
-    """base graph6, specs examined, hits, exhausted -- tab separated."""
-    return "\t".join(
-        (
-            serialize_graph6(report.base),
-            str(report.specs_examined),
-            str(len(report.found)),
-            "true" if report.exhausted else "false",
-        )
-    )

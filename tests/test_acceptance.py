@@ -16,6 +16,7 @@ import bugraph.search as search
 from bugraph.acceptance import CRITERIA, _corpus_specs, _Registry, run_suite
 from bugraph.betweenness import betweenness_exact, profile_uniformity
 from bugraph.blowup import blow_up
+from bugraph.cli import _criterion_line
 from bugraph.constructions import p2_clique_spec, p3_independent_spec, p4_mixed_spec, star_spec
 from bugraph.graphs import enumerate_graphs, generate, is_connected, parse_graph6
 from bugraph.search import FAMILY_ALL, FAMILY_IK, SearchBudget, SearchReport
@@ -44,7 +45,7 @@ def results():
 def test_criterion(results, number, capsys):
     r = results[number]
     with capsys.disabled():
-        print(r.line())
+        print(_criterion_line(r))
     assert r.passed, r.detail
 
 

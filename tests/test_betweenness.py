@@ -17,7 +17,6 @@ from bugraph.betweenness import (
     betweenness_oracle,
     is_betweenness_uniform,
     oracle_split,
-    profile_json,
     profile_uniformity,
     shortest_path_data,
 )
@@ -365,21 +364,3 @@ class TestSerialization:
     @pytest.mark.parametrize("x", [Fraction(0), Fraction(3), Fraction(1, 2), Fraction(-7, 3)])
     def test_rational_round_trip(self, x):
         assert Fraction(str(x)) == x
-
-    def test_integers_render_bare(self):
-        assert str(Fraction(4, 2)) == "2"
-        assert profile_json([Fraction(4, 2), 2])["values"] == ["2", "2"]
-
-    def test_profile_json_shape(self):
-        obj = profile_json(betweenness_exact(generate("cycle", 4)))
-        assert obj == {
-            "n": 4,
-            "values": ["1/2", "1/2", "1/2", "1/2"],
-            "uniform": True,
-            "common": "1/2",
-        }
-
-    def test_profile_json_non_uniform(self):
-        obj = profile_json(betweenness_exact(generate("path", 3)))
-        assert obj["uniform"] is False
-        assert obj["common"] is None

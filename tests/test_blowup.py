@@ -22,7 +22,6 @@ from bugraph.blowup import (
     Decomposition,
     blow_up,
     decompose_betweenness,
-    decomposition_json,
     delta_extremal,
     delta_xy,
     shares_by_part,
@@ -659,17 +658,3 @@ class TestSerialization:
         )
         again = spec_from_json(spec_to_json(spec))
         assert again.parts[0].graph == h
-
-    def test_decomposition_json(self):
-        spec = BlowupSpec(
-            base=generate("path", 3),
-            parts=(
-                PartDescriptor.independent(2),
-                PartDescriptor.independent(5),
-                PartDescriptor.independent(3),
-            ),
-        )
-        bg = blow_up(spec)
-        obj = decomposition_json(decompose_betweenness(bg, 0))
-        assert obj["vertex"] == 0
-        assert set(obj) == {"vertex", "global_part", "own_local", "neighbor_locals"}

@@ -21,12 +21,13 @@ from bugraph.blowup import (
     Decomposition,
     blow_up,
     decompose_betweenness,
+    spec_from_json,
     spec_to_json,
 )
 from bugraph.cli import main
 from bugraph.constructions import p4_mixed_spec
 from bugraph.graphs import generate, parse_graph6, serialize_graph6
-from bugraph.search import SearchReport
+from bugraph.search import SearchBudget, SearchReport, search_blowups
 
 C4 = serialize_graph6(generate("cycle", 4))
 P4 = serialize_graph6(generate("path", 4))
@@ -109,6 +110,30 @@ class TestBc:
         assert code == 3
         assert "cannot read" in err
 
+    def test_integers_render_bare(self, capsys, monkeypatch):
+        assert str(Fraction(4, 2)) == "2"
+        monkeypatch.setattr(cli, "betweenness_exact", lambda g: [Fraction(4, 2), 2])
+        code, out, _ = run(capsys, "bc", "-g", "A_", "--literal")
+        assert code == 0
+        assert json.loads(out)["values"] == ["2", "2"]
+
+    def test_profile_shape(self, capsys):
+        code, out, _ = run(capsys, "bc", "-g", C4, "--literal")
+        assert code == 0
+        assert json.loads(out) == {
+            "n": 4,
+            "values": ["1/2", "1/2", "1/2", "1/2"],
+            "uniform": True,
+            "common": "1/2",
+        }
+
+    def test_profile_non_uniform(self, capsys):
+        code, out, _ = run(capsys, "bc", "-g", serialize_graph6(generate("path", 3)), "--literal")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["uniform"] is False
+        assert obj["common"] is None
+
     def test_literal_flag_beats_file(self, capsys, tmp_path, monkeypatch):
         trap = tmp_path / C4
         trap.write_text(P4 + "\n")
@@ -131,19 +156,24 @@ class TestUniform:
         assert json.loads(out)["uniform"] is False
 
     @pytest.mark.parametrize(
-        "g",
+        "command, g",
         [
-            generate("path", 4),
-            generate("star", 4),  # the centre is the last vertex
-            blow_up(p4_mixed_spec(2, 2, 2, 2)).graph,
+            pytest.param(command, g, id=prefix + name)
+            for command, prefix in (("uniform", ""), ("bc", "bc-"))
+            for name, g in (
+                ("P4", generate("path", 4)),
+                ("star", generate("star", 4)),  # the centre is the last vertex
+                ("p4-blowup", blow_up(p4_mixed_spec(2, 2, 2, 2)).graph),
+            )
         ],
-        ids=["P4", "star", "p4-blowup"],
     )
-    def test_witness_matches_the_oracle(self, capsys, g):
-        code, out, _ = run(capsys, "uniform", "-g", serialize_graph6(g), "--literal")
-        assert code == 10
+    def test_witness_matches_the_oracle(self, capsys, command, g):
+        # bc words the verdict as uniform does, after the profile
+        code, out, _ = run(capsys, command, "-g", serialize_graph6(g), "--literal")
+        assert code == (10 if command == "uniform" else 0)
         obj = json.loads(out)
-        assert list(obj) == ["uniform", "common", "witness"]
+        head = ["uniform", "common", "witness"]
+        assert list(obj) == (head if command == "uniform" else ["n", "values", *head])
         assert obj["uniform"] is False and obj["common"] is None
         oracle = betweenness_oracle(g)
         u, v = obj["witness"]["vertices"]
@@ -181,6 +211,13 @@ class TestBlowupAndDecompose:
         obj = json.loads(out)
         assert obj["vertex"] == 0
         assert obj["neighbor_locals"]["1"] == "2"
+
+    def test_decomposition_json(self, capsys, spec_file):
+        code, out, _ = run(capsys, "decompose", "-s", spec_file, "-v", "0")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["vertex"] == 0
+        assert set(obj) == {"vertex", "global_part", "own_local", "neighbor_locals"}
 
     def test_decompose_bad_vertex(self, capsys, spec_file):
         code, _, err = run(capsys, "decompose", "-s", spec_file, "-v", "10")
@@ -377,6 +414,28 @@ class TestSearch:
         obj = json.loads(out)
         assert obj["exhausted"] is True
         assert {tuple(p["size"] for p in s["parts"]) for s in obj["found"]} == {(1, 2, 1)}
+
+    def test_tsv_line(self, capsys):
+        rep = search_blowups(generate("path", 2), SearchBudget(part_family="ik", max_part_size=2))
+        g6 = serialize_graph6(generate("path", 2))
+        code, out, _ = run(capsys, "search", "-g", g6, "--literal", "--max-size", "2", "--tsv")
+        assert code == 0
+        fields = out.rstrip("\n").split("\t")
+        assert fields[0] == g6
+        assert fields[1] == str(rep.specs_examined)
+        assert fields[2] == str(len(rep.found))
+        assert fields[3] == "true"
+
+    def test_json_found_specs_parse_back(self, capsys):
+        rep = search_blowups(generate("path", 3), SearchBudget(part_family="ik", max_part_size=3))
+        g6 = serialize_graph6(generate("path", 3))
+        code, out, _ = run(capsys, "search", "-g", g6, "--literal", "--max-size", "3")
+        assert code == 0
+        obj = json.loads(out)
+        parsed = [spec_from_json(s) for s in obj["found"]]
+        assert parsed == rep.found
+        assert obj["exhausted"] is True
+        assert obj["budget"]["part_family"] == "ik"
 
     def test_time_limit_flag(self, capsys):
         code, out, _ = run(capsys, "search", "-g", P4, "--max-size", "4", "--time-limit", "1e-9")

@@ -64,6 +64,11 @@ class TestGraphType:
         with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
             Graph(-1, ())
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_rejects_a_vertex_count_that_is_not_an_int(self, n):
+        with pytest.raises(ValueError, match="^vertex count must be an integer, not "):
+            Graph(n, ())
+
     def test_adjacency_and_degree(self):
         g = Graph(4, ((0, 1), (1, 2), (1, 3)))
         assert g.adjacency[1] == (0, 2, 3)
@@ -237,7 +242,10 @@ class TestGenerate:
         assert fresh is not g
         assert fresh == g and hash(fresh) == hash(g) and fresh.edges == g.edges
 
-    @pytest.mark.parametrize("kind, n", [("cycle", 2), ("torus", 3), ("path", 0), ("star", -1)])
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("cycle", 2), ("torus", 3), ("path", 0), ("star", -1), ("path", True), ("empty", 2.5)],
+    )
     def test_bad_arguments_raise_on_every_call(self, kind, n):
         for _ in range(3):
             with pytest.raises(ValueError):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import time
 from itertools import product
 from math import comb
@@ -19,7 +18,6 @@ from bugraph.blowup import (
     betweenness_by_part,
     blow_up,
     delta_extremal,
-    spec_from_json,
 )
 from bugraph.graphs import (
     Graph,
@@ -44,8 +42,6 @@ from bugraph.search import (
     explore_cut_conjecture,
     lemma_grid,
     lemma_table,
-    report_to_json,
-    report_tsv_line,
     search_blowups,
     verify_tree_theorem,
 )
@@ -347,6 +343,11 @@ class TestCandidates:
         with pytest.raises(ValueError, match="^max_total_vertices must be >= 2$"):
             SearchBudget(max_total_vertices=1)
 
+    @pytest.mark.parametrize("limit", [True, "1", [1]])
+    def test_budget_time_limit_must_be_a_number(self, limit):
+        with pytest.raises(ValueError, match="^time_limit must be a number of seconds, not "):
+            SearchBudget(time_limit=limit)
+
     @pytest.mark.parametrize("bound", [2.5, 4.0, True, "4", None])
     def test_budget_sizes_must_be_ints(self, bound):
         with pytest.raises(ValueError, match="^max_part_size must be an integer"):
@@ -427,7 +428,7 @@ class TestSearch:
         for r in (r1, r2):
             assert r.exhausted
             assert (r.specs_examined, len(r.found)) == (examined, hits)
-        assert json.dumps(report_to_json(r1)) == json.dumps(report_to_json(r2))
+        assert r1 == r2
 
     def test_time_limit_partial(self):
         # through the pool too, where the deadline passes before any
@@ -561,22 +562,3 @@ class TestSweeps:
         assert is_isomorphic(reports[0].base, generate("path", 4))
         assert reports[0].found == []
 
-
-class TestReportSerialization:
-    def test_tsv_line(self):
-        rep = search_blowups(generate("path", 2), SearchBudget(part_family="ik", max_part_size=2))
-        g6 = serialize_graph6(generate("path", 2))
-        line = report_tsv_line(rep)
-        fields = line.split("\t")
-        assert fields[0] == g6
-        assert fields[1] == str(rep.specs_examined)
-        assert fields[2] == str(len(rep.found))
-        assert fields[3] == "true"
-
-    def test_json_found_specs_parse_back(self):
-        rep = search_blowups(generate("path", 3), SearchBudget(part_family="ik", max_part_size=3))
-        obj = report_to_json(rep)
-        parsed = [spec_from_json(s) for s in obj["found"]]
-        assert parsed == rep.found
-        assert obj["exhausted"] is True
-        assert obj["budget"]["part_family"] == "ik"
