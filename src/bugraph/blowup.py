@@ -514,7 +514,7 @@ def delta_extremal(spec: BlowupSpec, *, leaf_part: int = 0) -> DeltaResult:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# the spec-file codec
 
 
 def _part_to_json(p: PartDescriptor) -> dict:
