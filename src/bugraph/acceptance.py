@@ -47,6 +47,7 @@ from itertools import product
 from math import comb
 
 from .betweenness import (
+    UniformityResult,
     betweenness_exact,
     betweenness_oracle,
     profile_uniformity,
@@ -138,10 +139,14 @@ def _record_search(reg: _Registry, source: str, report: SearchReport) -> str | N
 def _uniform_blowups(reg: _Registry, source: str, specs, common=None):
     """Blow up, decide exactly and register each spec while it is
     uniform (at ``common``, when given); return the first spec that is
-    not, with its verdict, or None."""
+    not, with its verdict, or None.  Specs that blow up to one graph
+    share one decision."""
+    verdicts: dict[Graph, UniformityResult] = {}
     for spec in specs:
         g = blow_up(spec).graph
-        uni = profile_uniformity(betweenness_exact(g))
+        uni = verdicts.get(g)
+        if uni is None:
+            uni = verdicts[g] = profile_uniformity(betweenness_exact(g))
         if not uni.uniform or (common is not None and uni.common != common):
             return spec, uni
         reg.add_uniform(g, source)
@@ -321,10 +326,13 @@ def _p4_chain_fault() -> str | None:
         if c * s1 + b * s2 != -(a + c) * (b + d) * (a * c * (c + d) + b * d * (a + b)):
             return f"c*s1 + b*s2 is not -(a+c)(b+d)(ac(c+d) + bd(a+b)) at {(a, b, c, d)}"
         # the identity holds whatever C(b,2) and C(c,2) are, since they
-        # cancel in the sum: tie each slack to the paper's inequality
-        cb, cc = Fraction(comb(b, 2), a + c), Fraction(comb(c, 2), b + d)
-        if Fraction(s1, (a + c) * b * (b + d)) != cb - cc - Fraction(a * (c + d), b) or (
-            Fraction(s2, (b + d) * c * (a + c)) != cc - cb - Fraction(d * (a + b), c)
+        # cancel in the sum: tie each slack to the paper's inequality,
+        #   s1 / ((a+c)b(b+d)) = C(b,2)/(a+c) - C(c,2)/(b+d) - a(c+d)/b,
+        #   s2 / ((b+d)c(a+c)) = C(c,2)/(b+d) - C(b,2)/(a+c) - d(a+b)/c,
+        # each cross-multiplied by its positive denominator
+        cb, cc = comb(b, 2), comb(c, 2)
+        if s1 != cb * b * (b + d) - cc * (a + c) * b - a * (c + d) * (a + c) * (b + d) or (
+            s2 != cc * c * (a + c) - cb * (b + d) * c - d * (a + b) * (b + d) * (a + c)
         ):
             return f"slacks are not the cleared path4 inequalities at {(a, b, c, d)}"
     return None

@@ -172,27 +172,25 @@ def betweenness_exact(g: Graph) -> list[Fraction]:
     return out
 
 
-def _counting_bfs(adj, n: int, s: int) -> tuple[list[int], list[int]]:
-    # Level-by-level BFS with geodesic counting; private to the oracle side.
+def _counting_bfs(adj, n: int, s: int) -> tuple[list[int], list[int], list[int]]:
+    """BFS with geodesic counting; private to the oracle side.  Returns
+    (dist, sigma, order): dist is -1 off the component of s, and order
+    lists that component by distance from s, s first."""
     dist = [-1] * n
     sigma = [0] * n
     dist[s] = 0
     sigma[s] = 1
-    frontier = [s]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            sv = sigma[v]
-            for w in adj[v]:
-                if dist[w] == -1:
-                    dist[w] = d
-                    nxt.append(w)
-                if dist[w] == d:
-                    sigma[w] += sv
-        frontier = nxt
-    return dist, sigma
+    order = [s]
+    for v in order:  # the BFS queue: iteration reaches appended vertices
+        dv1 = dist[v] + 1
+        sv = sigma[v]
+        for w in adj[v]:
+            if dist[w] == -1:
+                dist[w] = dv1
+                order.append(w)
+            if dist[w] == dv1:
+                sigma[w] += sv
+    return dist, sigma, order
 
 
 def shortest_path_data(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
@@ -202,7 +200,7 @@ def shortest_path_data(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     dist: list[list[int]] = []
     sigma: list[list[int]] = []
     for s in range(n):
-        d, sg = _counting_bfs(adj, n, s)
+        d, sg, _ = _counting_bfs(adj, n, s)
         dist.append(d)
         sigma.append(sg)
     return dist, sigma
@@ -217,19 +215,24 @@ def oracle_split(g: Graph, part_of) -> tuple[list[Fraction], list[dict]]:
     to the share from pairs inside p, listing only the labels that have
     a pair with a geodesic through x.
 
-    A pair u, v adds the integer sigma(u,x) * sigma(x,v) at each interior
-    vertex x of its geodesics, into the bucket of its target (the cross
-    share or its label) and of its geodesic count sigma(u,v).  Each
-    vertex's buckets of one target become a single ``Fraction`` at the
-    end, over the lcm of their geodesic counts.
+    A pair u, v at distance d adds the integer sigma(u,x) * sigma(x,v) at
+    each interior vertex x of its geodesics, into the bucket of its
+    target (the cross share or its label) and of its geodesic count
+    sigma(u,v).  An interior vertex is nearer to u than d, so the scan of
+    u's BFS order stops at its first vertex at distance d.  Each vertex's
+    buckets of one target become a single ``Fraction`` at the end, over
+    the lcm of their geodesic counts.
     """
     n = g.n
-    dist, sigma = shortest_path_data(g)
+    adj = g.adjacency
+    bfs = [_counting_bfs(adj, n, s) for s in range(n)]
+    dist = [b[0] for b in bfs]
+    sigma = [b[1] for b in bfs]
     cross_acc: dict[int, list[int]] = {}  # sigma(u,v) -> per-vertex numerators
     by_label: dict = {}  # label -> the same buckets, for pairs inside it
     for u in range(n):
-        du = dist[u]
-        su = sigma[u]
+        du, su, order = bfs[u]
+        others = order[1:]  # u's component without u, where dist[v] >= 0
         pu = part_of[u]
         for v in range(u + 1, n):
             d = du[v]
@@ -241,10 +244,11 @@ def oracle_split(g: Graph, part_of) -> tuple[list[Fraction], list[dict]]:
                 vals = acc[su[v]] = [0] * n
             dv = dist[v]
             sv = sigma[v]
-            for x in range(n):
-                if x == u or x == v:
-                    continue
-                if du[x] != -1 and dv[x] != -1 and du[x] + dv[x] == d:
+            for x in others:
+                dx = du[x]
+                if dx == d:  # order is by distance: no nearer vertex is left
+                    break
+                if dx + dv[x] == d:
                     vals[x] += su[x] * sv[x]
     cross = _bucket_sums(cross_acc, n)
     shares = {p: _bucket_sums(acc, n) for p, acc in by_label.items()}

@@ -206,6 +206,9 @@ def blow_up(spec: BlowupSpec) -> BlownGraph:
     )
 
 
+_ZERO = Fraction(0)
+
+
 class Decomposition(namedtuple("Decomposition", "vertex global_part own_local neighbor_locals")):
     """Betweenness of one blown-up vertex, split by pair location:
     ``Fraction`` shares, ``neighbor_locals`` keyed by part."""
@@ -213,9 +216,10 @@ class Decomposition(namedtuple("Decomposition", "vertex global_part own_local ne
     __slots__ = ()
 
     def total(self) -> Fraction:
-        return self.global_part + self.own_local + sum(
-            self.neighbor_locals.values(), Fraction(0)
-        )
+        # numerators summed over the lcm of the denominators: one Fraction
+        shares = (self.global_part, self.own_local, *self.neighbor_locals.values())
+        den = lcm(*[x.denominator for x in shares])
+        return Fraction(sum(x.numerator * (den // x.denominator) for x in shares), den)
 
 
 def decompose_betweenness(bg: BlownGraph, v: int) -> Decomposition:
@@ -236,9 +240,9 @@ def decompose_betweenness(bg: BlownGraph, v: int) -> Decomposition:
     pv = bg.part_of[v]
     cross, inside = bg.pair_split
     shares = dict(inside[v])
-    own = shares.pop(pv, Fraction(0))
+    own = shares.pop(pv, _ZERO)
     nbr_parts = sorted({bg.part_of[w] for w in g.adjacency[v]} - {pv})
-    nbr = {j: shares.pop(j, Fraction(0)) for j in nbr_parts}
+    nbr = {j: shares.pop(j, _ZERO) for j in nbr_parts}
     if shares:
         raise AssertionError(
             f"pair inside part {min(shares)} routed through part {pv}, "

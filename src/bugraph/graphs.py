@@ -100,7 +100,8 @@ class Graph(namedtuple("Graph", "n edges")):
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(b)) for b in nbrs)
+        # edges are sorted pairs u < v, so each row fills in ascending order
+        return tuple(map(tuple, nbrs))
 
     @cached_property
     def adjacency_bits(self) -> tuple[int, ...]:
@@ -234,6 +235,9 @@ def generate(kind: str, n: int) -> Graph:
     k+1 vertices with the center last (index k).  Graphs are immutable,
     so repeat calls share one graph and its cached distances.
     """
+    # type(), not isinstance(): True must not pass for 1, nor 3.0 for 3
+    if type(n) is not int:
+        raise ValueError(f"{kind} generator needs an integer size, not {n!r}")
     if n < 1:
         raise ValueError(f"{kind} generator needs n >= 1")
     if kind == "path":
@@ -259,6 +263,10 @@ def generate(kind: str, n: int) -> Graph:
 # packed into 6-bit groups, each stored as byte value group+63.  Bit
 # j(j-1)/2 + i of that body is x_ij (i < j), the first bit of a group being
 # its high bit; the zero padding of the last group is not read back.
+
+
+# the graph6 byte of each 6-bit group, keyed by the group's ASCII digits
+_G6_BYTE = {format(group, "06b").encode(): group + 63 for group in range(64)}
 
 
 def _g6_decode_n(data: bytes, base: int) -> tuple[int, int]:
@@ -339,7 +347,8 @@ def serialize_graph6(g: Graph) -> str:
     bits = bytearray(b"0" * (6 * groups))
     for i, j in g.edges:  # i < j
         bits[j * (j - 1) // 2 + i] = 49  # "1"
-    out = head + [int(bits[k : k + 6], 2) + 63 for k in range(0, len(bits), 6)]
+    body = bytes(bits)
+    out = head + [_G6_BYTE[body[k : k + 6]] for k in range(0, len(body), 6)]
     return bytes(out).decode("ascii")
 
 

@@ -7,6 +7,7 @@ verdict line so a plain pytest run shows the whole table.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -17,7 +18,13 @@ from bugraph.acceptance import CRITERIA, _corpus_specs, _Registry, run_suite
 from bugraph.betweenness import betweenness_exact, profile_uniformity
 from bugraph.blowup import blow_up
 from bugraph.cli import _criterion_line
-from bugraph.constructions import p2_clique_spec, p3_independent_spec, p4_mixed_spec, star_spec
+from bugraph.constructions import (
+    _p4_slacks,
+    p2_clique_spec,
+    p3_independent_spec,
+    p4_mixed_spec,
+    star_spec,
+)
 from bugraph.graphs import enumerate_graphs, generate, is_connected, parse_graph6
 from bugraph.search import FAMILY_ALL, FAMILY_IK, SearchBudget, SearchReport
 
@@ -67,19 +74,26 @@ def test_criterion_9_detail_is_the_same_every_run():
     assert _C9(_Registry(), "full", 1) == _C9(_Registry(), "full", 1) == (True, C9_PASS)
 
 
+def _p4_bumped(a, b, c, d):
+    # a slack mutant: s1 off by one at (2, 3, 4, 5)
+    s1, s2 = _p4_slacks(a, b, c, d)
+    return s1 + ((a, b, c, d) == (2, 3, 4, 5)), s2
+
+
+def _p4_half_square(a, b, c, d):
+    # a slack mutant: C(b,2) read as b^2//2 in both slacks
+    s1, s2 = _p4_slacks(a, b, c, d)
+    extra = b * b // 2 - comb(b, 2)
+    return s1 + extra * b * (b + d), s2 - extra * c * (b + d)
+
+
 class TestCriterion9Mutants:
     """Criterion 9 proves the path-4 chain from ``_p4_slacks``: a slack
     that is wrong at one tuple of the box, or that uses the wrong
     binomial, fails it and the detail names the first such tuple."""
 
     def test_slack_off_by_one_breaks_the_identity(self, monkeypatch):
-        real = acceptance._p4_slacks
-
-        def bumped(a, b, c, d):
-            s1, s2 = real(a, b, c, d)
-            return s1 + ((a, b, c, d) == (2, 3, 4, 5)), s2
-
-        monkeypatch.setattr(acceptance, "_p4_slacks", bumped)
+        monkeypatch.setattr(acceptance, "_p4_slacks", _p4_bumped)
         assert _C9(_Registry(), "full", 1) == (
             False,
             "c*s1 + b*s2 is not -(a+c)(b+d)(ac(c+d) + bd(a+b)) at (2, 3, 4, 5)",
@@ -88,18 +102,45 @@ class TestCriterion9Mutants:
     def test_wrong_binomial_is_caught(self, monkeypatch):
         # C(b,2) cancels in c*s1 + b*s2, so the identity alone would pass
         # this; the tie to the rational inequalities catches it at b = 2
-        real = acceptance._p4_slacks
-
-        def half_square(a, b, c, d):
-            s1, s2 = real(a, b, c, d)
-            extra = b * b // 2 - comb(b, 2)  # C(b,2) read as b^2//2 in both
-            return s1 + extra * b * (b + d), s2 - extra * c * (b + d)
-
-        monkeypatch.setattr(acceptance, "_p4_slacks", half_square)
+        monkeypatch.setattr(acceptance, "_p4_slacks", _p4_half_square)
         assert _C9(_Registry(), "full", 1) == (
             False,
             "slacks are not the cleared path4 inequalities at (1, 2, 1, 1)",
         )
+
+
+def _p4_fraction_verdict(slacks, a, b, c, d) -> str | None:
+    """Criterion 9's check of one size tuple, stated in ``Fraction``s:
+    each slack over its cleared denominators is its inequality's gap."""
+    s1, s2 = slacks(a, b, c, d)
+    if c * s1 + b * s2 != -(a + c) * (b + d) * (a * c * (c + d) + b * d * (a + b)):
+        return f"c*s1 + b*s2 is not -(a+c)(b+d)(ac(c+d) + bd(a+b)) at {(a, b, c, d)}"
+    cb, cc = Fraction(comb(b, 2), a + c), Fraction(comb(c, 2), b + d)
+    if Fraction(s1, (a + c) * b * (b + d)) != cb - cc - Fraction(a * (c + d), b) or (
+        Fraction(s2, (b + d) * c * (a + c)) != cc - cb - Fraction(d * (a + b), c)
+    ):
+        return f"slacks are not the cleared path4 inequalities at {(a, b, c, d)}"
+    return None
+
+
+@pytest.mark.parametrize(
+    "slacks, faults",
+    [(_p4_slacks, 0), (_p4_bumped, 1), (_p4_half_square, 502)],
+    ids=["real", "bumped", "half-square"],
+)
+def test_p4_chain_check_agrees_with_the_fraction_statement(monkeypatch, slacks, faults):
+    # _p4_chain_fault run on one size tuple at a time, against the
+    # Fraction form of its two checks, on the box and near 10^9; the
+    # half-square mutant fails at every tuple with b >= 2
+    monkeypatch.setattr(acceptance, "_p4_slacks", slacks)
+    big = [(10**9, 10**9 + 7, 999_999_937, 10**9 - 1), (999_999_929, 2, 10**9 + 9, 3)]
+    seen = 0
+    for t in [*product(range(1, 6), repeat=4), *big]:
+        monkeypatch.setattr(acceptance, "product", lambda *_, repeat=1, t=t: iter([t]))
+        want = _p4_fraction_verdict(slacks, *t)
+        assert acceptance._p4_chain_fault() == want
+        seen += want is not None
+    assert seen == faults
 
 
 def test_criterion_1_names_an_incomplete_enumeration(monkeypatch):
@@ -265,6 +306,28 @@ class TestFamilyFailures:
         # every star blow-up of leaf total 3 is K_{3,3}, first met as A_[I3,I3]
         _bump_profile_of(monkeypatch, star_spec((1, 2)))
         assert _BY_NUMBER[4](_Registry(), "full", 1) == (False, "A_[I3,I3] not uniform")
+
+    def test_criterion_4_decides_each_distinct_graph_once(self, monkeypatch):
+        # the 340 star blow-ups are K_{t,t} for t = 1..16: each is built
+        # and registered, but only the 16 graphs and the 10 negative
+        # controls are decided
+        decided, built = [], []
+        exact, real_blow_up = acceptance.betweenness_exact, acceptance.blow_up
+
+        def deciding(g):
+            decided.append(g)
+            return exact(g)
+
+        monkeypatch.setattr(acceptance, "betweenness_exact", deciding)
+        monkeypatch.setattr(acceptance, "blow_up", lambda s: built.append(s) or real_blow_up(s))
+        reg = _Registry()
+        assert _BY_NUMBER[4](reg, "full", 1) == (
+            True,
+            "340 star blow-ups uniform; 10 perturbed centers all non-uniform",
+        )
+        assert len(decided) == 26 and len(set(decided[:16])) == 16
+        assert len(built) == 350
+        assert sorted(g.n for g in reg.uniform_graphs) == [2 * t for t in range(1, 17)]
 
     def test_criterion_4_names_a_uniform_negative_control(self, monkeypatch):
         # every profile flat: the family passes, the first control fails

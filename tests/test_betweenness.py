@@ -113,6 +113,28 @@ class TestOracleReference:
             assert _typed(oracle_split(g, labels)) == _typed(_reference_split(g, labels))
         assert seen >= 20
 
+    @pytest.mark.parametrize("n", [12, 13, 16, 20])
+    def test_long_geodesics(self, n):
+        # paths and cycles: pairs up to n - 1 apart, with many vertices
+        # nearer to one end than the other
+        rng = random.Random(n)
+        for g in (generate("path", n), generate("cycle", n)):
+            for labels in (range(n), [rng.randrange(3) for _ in range(n)]):
+                assert _typed(oracle_split(g, labels)) == _typed(_reference_split(g, labels))
+
+    def test_isolated_vertices(self):
+        # unreachable pairs count nothing, and an isolated vertex lies on
+        # no geodesic
+        rng = random.Random(1020)
+        for base in (generate("path", 5), generate("cycle", 6), generate("star", 3)):
+            for isolated in (1, 3):
+                g = _disjoint_union(base, generate("empty", isolated))
+                h = _disjoint_union(generate("empty", isolated), base)
+                for graph in (g, h):
+                    for labels in (range(graph.n), [rng.randrange(2) for _ in range(graph.n)]):
+                        want = _typed(_reference_split(graph, labels))
+                        assert _typed(oracle_split(graph, labels)) == want
+
     def test_corpus_blowups_by_part(self):
         for spec in _corpus_specs():
             bg = blow_up(spec)

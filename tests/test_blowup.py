@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bugraph.blowup
@@ -304,6 +304,22 @@ class TestDecomposition:
         for v in range(bg.graph.n):
             dec = decompose_betweenness(bg, v)
             assert dec.total() == profile[v]
+
+    @given(blowup_specs())
+    @settings(max_examples=40, deadline=None)
+    def test_total_is_the_plain_fraction_sum(self, spec):
+        # only vertices whose shares have distinct denominators test the
+        # sum over their lcm; assume() keeps the blow-ups that have one
+        bg = blow_up(spec)
+        mixed = 0
+        for v in range(bg.graph.n):
+            dec = decompose_betweenness(bg, v)
+            shares = [dec.global_part, dec.own_local, *dec.neighbor_locals.values()]
+            total = dec.total()
+            assert type(total) is Fraction
+            assert total == sum(shares, Fraction(0))
+            mixed += len({x.denominator for x in shares}) > 1
+        assume(mixed)
 
     @given(blowup_specs(max_base=3))
     @settings(max_examples=30, deadline=None)

@@ -244,7 +244,16 @@ class TestGenerate:
 
     @pytest.mark.parametrize(
         "kind, n",
-        [("cycle", 2), ("torus", 3), ("path", 0), ("star", -1), ("path", True), ("empty", 2.5)],
+        [
+            ("cycle", 2),
+            ("torus", 3),
+            ("path", 0),
+            ("star", -1),
+            ("path", True),
+            ("empty", 2.5),
+            ("path", 3.0),
+            ("star", 2.0),
+        ],
     )
     def test_bad_arguments_raise_on_every_call(self, kind, n):
         for _ in range(3):
@@ -254,7 +263,7 @@ class TestGenerate:
     def test_float_size_is_not_served_from_the_cache(self):
         generate("path", 3)
         for _ in range(2):
-            with pytest.raises(TypeError):
+            with pytest.raises(ValueError):
                 generate("path", 3.0)
 
 
