@@ -48,6 +48,8 @@ from math import comb
 
 from .betweenness import (
     UniformityResult,
+    _exact_numerators,
+    _split_numerators,
     betweenness_exact,
     betweenness_oracle,
     profile_uniformity,
@@ -55,10 +57,10 @@ from .betweenness import (
 from .blowup import (
     BlowupSpec,
     PartDescriptor,
-    betweenness_by_part,
+    _decomposition_numerators,
+    _part_numerators,
+    _spec_numerators,
     blow_up,
-    decompose_betweenness,
-    shares_by_part,
 )
 from .constructions import (
     _p4_slacks,
@@ -153,6 +155,12 @@ def _uniform_blowups(reg: _Registry, source: str, specs, common=None):
     return None
 
 
+def _same_values(den_a: int, a, den_b: int, b) -> bool:
+    """Whether the numerators ``a`` over ``den_a`` and ``b`` over
+    ``den_b`` are the same rationals, entry by entry."""
+    return len(a) == len(b) and all(x * den_b == y * den_a for x, y in zip(a, b))
+
+
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -164,11 +172,13 @@ def _c1_oracle_equivalence(reg: _Registry, level: str, jobs: int) -> tuple[bool,
         if len(classes) != expected:
             return False, f"{len(classes)} graph classes on {n} vertices, expected {expected}"
         for g in classes:
-            exact = betweenness_exact(g)
-            if exact != betweenness_oracle(g):
+            den, exact = _exact_numerators(g)
+            oracle_den, oracle, _ = _split_numerators(g, range(g.n))
+            if not _same_values(den, exact, oracle_den, oracle):
                 return False, f"algorithms disagree on {serialize_graph6(g)}"
             checked += 1
-            if g.n >= 3 and profile_uniformity(exact).uniform and is_connected(g):
+            # uniform exactly when every numerator over den is the same
+            if g.n >= 3 and len(set(exact)) == 1 and is_connected(g):
                 reg.add_uniform(g, "enumeration")
     return True, f"both algorithms agree on all {checked} classes with <= 7 vertices"
 
@@ -248,38 +258,50 @@ def _corpus_specs() -> list[BlowupSpec]:
 def _corpus_pass() -> tuple[tuple[bool, str], tuple[bool, str]]:
     """The verdicts of criteria 6 and 7, from one pass over the corpus.
 
-    Per spec: one ``blow_up``, one exact profile, one ``shares_by_part``
-    and one ``decompose_betweenness`` per vertex, read by both checks.
-    Each check keeps its first failure, and the pass stops once both
-    have failed.  A passing check has seen every corpus vertex, so both
-    pass messages read one vertex count.  An exception inside the pass
-    is not cached, so each criterion reports it as its own crash.
+    Per spec: one ``blow_up``, one exact profile, one closed form
+    (``_spec_numerators``) and one per-pair oracle split, read by both
+    checks.  Each is a list of integer numerators over its own
+    denominator, and the checks compare them by cross-multiplication:
+    the closed form's per-vertex sums and the oracle's decomposition
+    totals against the exact profile (criterion 6), and the closed
+    form's global, neighbor and own shares against the oracle's
+    (criterion 7).  Each check keeps its first failure, and the pass
+    stops once both have failed.  A passing check has seen every corpus
+    vertex, so both pass messages read one vertex count.  An exception
+    inside the pass is not cached, so each criterion reports it as its
+    own crash.
     """
     c6 = c7 = None  # first failure message of each
     vertices = 0
     for spec in _corpus_specs():
         bg = blow_up(spec)
         vertices += bg.graph.n
-        profile = betweenness_exact(bg.graph)
-        shares = list(shares_by_part(spec))
+        den, profile = _exact_numerators(bg.graph)
+        numerators = d, glob, local = _spec_numerators(spec)
         if c6 is None:
-            values = [v for vals in betweenness_by_part(spec, shares) for v in vals]
-            if values != profile:
+            values = [x for vals in _part_numerators(spec, numerators) for x in vals]
+            if not _same_values(d, values, den, profile):
                 c6 = f"part-by-part values differ from the exact profile of {spec.label()}"
         for v in range(bg.graph.n):
-            dec = decompose_betweenness(bg, v)
-            if c6 is None and dec.total() != profile[v]:
+            split_den, split_glob, split_own, split_nbr = _decomposition_numerators(bg, v)
+            total = split_glob + split_own + sum(split_nbr.values())
+            if c6 is None and total * den != profile[v] * split_den:
                 c6 = f"decomposition mismatch at vertex {v} of {spec.label()}"
             if c7 is None:
                 k = bg.part_of[v]
-                glob, nbr, own = shares[k]
+                nbrs = spec.base.adjacency[k]
+                own = local[k][1]
                 i = v - bg.part_vertices[k][0]
-                for share, got, want in (
-                    ("global", glob, dec.global_part),
-                    ("neighbor", nbr, dec.neighbor_locals),
-                    ("own", own[i] if own else 0, dec.own_local),
+                for share, differs in (
+                    ("global", glob[k] * split_den != split_glob * d),
+                    (
+                        "neighbor",
+                        split_nbr.keys() != set(nbrs)
+                        or any(local[j][0] * split_den != split_nbr[j] * d for j in nbrs),
+                    ),
+                    ("own", (own[i] if own else 0) * split_den != split_own * d),
                 ):
-                    if got != want:
+                    if differs:
                         c7 = f"{share} share of part {k} of {spec.label()} disagrees at vertex {v}"
                         break
         if c6 is not None and c7 is not None:

@@ -19,18 +19,22 @@ Two algorithms are provided on purpose:
   this is plain Brandes.  Each source's dependencies are scaled by the
   lcm of its geodesic counts, all sources share one running
   denominator, and each distinct value becomes a single ``Fraction``
-  at the end.
+  at the end.  ``_exact_numerators`` is that engine in integers: one
+  numerator per vertex over one denominator.
 * ``betweenness_oracle`` - per-pair path counting on the graph
   itself: sigma_{u,v}(x) = sigma(u,x) * sigma(x,v) whenever x sits on
   a u,v-geodesic.  These integers are summed per geodesic count
   sigma(u,v), and each vertex's sums become one ``Fraction`` at the
   end.
 
-The oracle's per-pair loop lives in ``oracle_split(g, part_of)``: for
-any vertex labels it returns each vertex's share from pairs with
-different labels and, per label, its share from pairs inside it.
-``betweenness_oracle`` is that pass with every vertex its own label;
-``blowup.decompose_betweenness`` reads it with blow-up parts as labels.
+The oracle's per-pair loop lives in ``_split_numerators(g, part_of)``:
+for any vertex labels it returns, as integers over one denominator,
+each vertex's share from pairs with different labels and, per label,
+its share from pairs inside it.  ``oracle_split`` is its ``Fraction``
+view, ``betweenness_oracle`` that view with every vertex its own label,
+and ``blowup.decompose_betweenness`` reads it with blow-up parts as
+labels.  The acceptance suite compares the two engines' integers by
+cross-multiplication and builds no ``Fraction``.
 
 The two routes share no shortest-path code, and the oracle knows
 nothing of twins or blow-ups (this module imports nothing from
@@ -55,7 +59,6 @@ __all__ = [
     "is_betweenness_uniform",
     "oracle_split",
     "profile_uniformity",
-    "shortest_path_data",
 ]
 
 
@@ -87,7 +90,13 @@ def _twin_classes(g: Graph) -> list[list[int]]:
 
 def betweenness_exact(g: Graph) -> list[Fraction]:
     """Betweenness of every vertex, by dependency accumulation on the
-    twin quotient.
+    twin quotient: ``_exact_numerators`` with one ``Fraction`` per
+    distinct value."""
+    return _fractions(*_exact_numerators(g))
+
+
+def _exact_numerators(g: Graph) -> tuple[int, list[int]]:
+    """``(den, num)``: the betweenness of vertex v is ``num[v] / den``.
 
     Twins have equal betweenness, and a geodesic between vertices of
     two different classes meets every class at most once.  So one
@@ -100,16 +109,18 @@ def betweenness_exact(g: Graph) -> list[Fraction]:
     classes w of c(w) * (sigma_sv / sigma_sw) * (1 + delta_s(w)) is the
     dependency of each vertex of the source class, counted c(s) times.
     Summing over sources counts every unordered pair twice, hence the
-    final halving.  Pairs inside an independent class of c vertices meet
-    only at distance 2, through each of the ``mass`` vertices of the
-    neighbouring classes alike: C(c, 2) / mass to each of those.
+    halving in the returned denominator.  Pairs inside an independent
+    class of c vertices meet only at distance 2, through each of the
+    ``mass`` vertices of the neighbouring classes alike: C(c, 2) / mass
+    to each of those.
 
     The recurrence runs on the integers t(v) = L * delta_s(v) / sigma_sv,
     where L (``scale``) is the lcm of the sigma_sw over the classes w
     reached from s: t(v) = sum over successors w of c(w) * (L / sigma_sw
     + t(w)).  Each c(s) * delta_s(w) = c(s) * sigma_sw * t(w) / L is
     added to an integer numerator over one running denominator D
-    (``den``), kept a multiple of every L and every mass.
+    (``den``), kept a multiple of every L and every mass; the returned
+    denominator is 2D.
     """
     adj = g.adjacency
     classes = _twin_classes(g)
@@ -162,14 +173,17 @@ def betweenness_exact(g: Graph) -> list[Fraction]:
         x = c * (c - 1) * (den // mass)
         for j in cadj[i]:
             num[j] += x
-    # Equal values share one Fraction, so a uniform profile holds one.
-    values = {x: Fraction(x, 2 * den) for x in set(num)}
-    out: list = [None] * g.n
+    out = [0] * g.n
     for members, x in zip(classes, num):
-        value = values[x]
         for v in members:
-            out[v] = value
-    return out
+            out[v] = x
+    return 2 * den, out
+
+
+def _fractions(den: int, nums) -> list[Fraction]:
+    # Equal values share one Fraction, so a uniform profile holds one.
+    values = {x: Fraction(x, den) for x in set(nums)}
+    return [values[x] for x in nums]
 
 
 def _counting_bfs(adj, n: int, s: int) -> tuple[list[int], list[int], list[int]]:
@@ -193,19 +207,6 @@ def _counting_bfs(adj, n: int, s: int) -> tuple[list[int], list[int], list[int]]
     return dist, sigma, order
 
 
-def shortest_path_data(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
-    """All-pairs (distance, geodesic count) matrices; -1 marks unreachable."""
-    adj = g.adjacency
-    n = g.n
-    dist: list[list[int]] = []
-    sigma: list[list[int]] = []
-    for s in range(n):
-        d, sg, _ = _counting_bfs(adj, n, s)
-        dist.append(d)
-        sigma.append(sg)
-    return dist, sigma
-
-
 def oracle_split(g: Graph, part_of) -> tuple[list[Fraction], list[dict]]:
     """Betweenness by direct per-pair counting, split by pair labels.
 
@@ -213,15 +214,22 @@ def oracle_split(g: Graph, part_of) -> tuple[list[Fraction], list[dict]]:
     ``(cross, inside)``: ``cross[x]`` is the share of x from pairs whose
     endpoints carry different labels, and ``inside[x]`` maps a label p
     to the share from pairs inside p, listing only the labels that have
-    a pair with a geodesic through x.
+    a pair with a geodesic through x.  This is the ``Fraction`` view of
+    ``_split_numerators``.
+    """
+    return _split_fractions(*_split_numerators(g, part_of))
+
+
+def _split_numerators(g: Graph, part_of) -> tuple[int, list[int], list[dict]]:
+    """``oracle_split`` in integers: ``(den, cross, inside)``, where
+    ``cross[x] / den`` and ``inside[x][p] / den`` are its shares.
 
     A pair u, v at distance d adds the integer sigma(u,x) * sigma(x,v) at
     each interior vertex x of its geodesics, into the bucket of its
     target (the cross share or its label) and of its geodesic count
     sigma(u,v).  An interior vertex is nearer to u than d, so the scan of
-    u's BFS order stops at its first vertex at distance d.  Each vertex's
-    buckets of one target become a single ``Fraction`` at the end, over
-    the lcm of their geodesic counts.
+    u's BFS order stops at its first vertex at distance d.  At the end
+    every bucket is scaled to den, the lcm of all geodesic counts seen.
     """
     n = g.n
     adj = g.adjacency
@@ -250,28 +258,34 @@ def oracle_split(g: Graph, part_of) -> tuple[list[Fraction], list[dict]]:
                     break
                 if dx + dv[x] == d:
                     vals[x] += su[x] * sv[x]
-    cross = _bucket_sums(cross_acc, n)
-    shares = {p: _bucket_sums(acc, n) for p, acc in by_label.items()}
+    den = lcm(*cross_acc, *[s for acc in by_label.values() for s in acc])
+    cross = _bucket_sums(cross_acc, n, den)
+    shares = {p: _bucket_sums(acc, n, den) for p, acc in by_label.items()}
     inside = [{p: share[x] for p, share in shares.items() if share[x]} for x in range(n)]
-    return cross, inside
+    return den, cross, inside
 
 
-def _bucket_sums(acc: dict[int, list[int]], n: int) -> list[Fraction]:
-    # sum over geodesic counts s of acc[s][x] / s for each vertex x;
-    # equal sums share one Fraction
-    den = lcm(*acc)
+def _bucket_sums(acc: dict[int, list[int]], n: int, den: int) -> list[int]:
+    # den times the sum over geodesic counts s of acc[s][x] / s, per vertex x
     nums = [0] * n
     for s, vals in acc.items():
         k = den // s
         nums = [a + k * b for a, b in zip(nums, vals)]
-    values = {a: Fraction(a, den) for a in set(nums)}
-    return [values[a] for a in nums]
+    return nums
+
+
+def _split_fractions(den: int, cross, inside) -> tuple[list[Fraction], list[dict]]:
+    # the Fraction view of a _split_numerators result; equal shares share
+    # one Fraction
+    values = {a: Fraction(a, den) for a in set(cross).union(*[d.values() for d in inside])}
+    return [values[a] for a in cross], [{p: values[a] for p, a in d.items()} for d in inside]
 
 
 def betweenness_oracle(g: Graph) -> list[Fraction]:
     """Betweenness by direct per-pair counting (the cross-check route):
     ``oracle_split`` with every vertex its own label."""
-    return oracle_split(g, range(g.n))[0]
+    den, cross, _ = _split_numerators(g, range(g.n))
+    return _fractions(den, cross)
 
 
 class UniformityResult(namedtuple("UniformityResult", "uniform common")):

@@ -25,14 +25,18 @@ integers directly.  The leaf-part ratio of ``delta_xy`` and
 cancels; those two pass one candidate per vertex, while
 ``search.lemma_table`` passes every graph class in one slot and reads
 each class's ratio from the same call.  ``shares_by_part`` is the
-``Fraction`` view of the one-candidate call: ``betweenness_by_part``
-sums it and ``bugraph decompose`` prints one part's entry.
+``Fraction`` view of the one-candidate call (``_spec_numerators``),
+and ``bugraph decompose`` prints one part's entry;
+``betweenness_by_part`` is the view of its per-vertex sums
+(``_part_numerators``).
 ``blow_up`` writes each edge of the built graph once and valid, so it
 sorts them and skips ``Graph``'s validation.
 ``decompose_betweenness`` is only the reference: it reads the same
-split off the built graph (``blow_up``) from ``oracle_split``, the
-per-pair counting pass behind ``betweenness_oracle``, with each vertex
-labelled by its part, so the two routes can be compared exactly.
+split off the built graph (``blow_up``) from the per-pair counting
+pass behind ``betweenness_oracle``, with each vertex labelled by its
+part, so the two routes can be compared exactly.  Its integer form,
+``_decomposition_numerators``, and the two integer forms above are
+what the acceptance suite compares, by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from .betweenness import oracle_split
+from .betweenness import _fractions, _split_fractions, _split_numerators
 from .graphs import Graph, parse_graph6, serialize_graph6
 
 __all__ = [
@@ -171,9 +175,16 @@ class BlownGraph(namedtuple("BlownGraph", "graph part_of part_vertices")):
     """
 
     @cached_property
+    def pair_numerators(self) -> tuple[int, list[int], list[dict[int, int]]]:
+        """The per-pair oracle pass of the blown-up graph by part, in
+        integers (``betweenness._split_numerators``), computed once."""
+        return _split_numerators(self.graph, self.part_of)
+
+    @cached_property
     def pair_split(self) -> tuple[list[Fraction], list[dict[int, Fraction]]]:
-        """``oracle_split`` of the blown-up graph by part, computed once."""
-        return oracle_split(self.graph, self.part_of)
+        """``oracle_split`` of the blown-up graph by part: the ``Fraction``
+        view of ``pair_numerators``."""
+        return _split_fractions(*self.pair_numerators)
 
 
 def blow_up(spec: BlowupSpec) -> BlownGraph:
@@ -206,9 +217,6 @@ def blow_up(spec: BlowupSpec) -> BlownGraph:
     )
 
 
-_ZERO = Fraction(0)
-
-
 class Decomposition(namedtuple("Decomposition", "vertex global_part own_local neighbor_locals")):
     """Betweenness of one blown-up vertex, split by pair location:
     ``Fraction`` shares, ``neighbor_locals`` keyed by part."""
@@ -225,30 +233,43 @@ class Decomposition(namedtuple("Decomposition", "vertex global_part own_local ne
 def decompose_betweenness(bg: BlownGraph, v: int) -> Decomposition:
     """Split B(v) into global / own-part / per-neighbor-part shares.
 
-    Read from first principles off ``bg.pair_split``, the per-pair
+    Read from first principles off ``bg.pair_numerators``, the per-pair
     oracle pass run once per blow-up with each vertex labelled by its
     part; neither the spec nor a closed form is consulted.  Keys of
     ``neighbor_locals`` are the parts of v's neighbors other than its
     own, in ascending order: v is joined to every vertex of each
     base-neighbor part and to no other part.  A pair inside any other
     part can never route through v; one that does raises
-    ``AssertionError``.
+    ``AssertionError``.  This is the ``Fraction`` view of
+    ``_decomposition_numerators``.
     """
+    den, glob, own, nbr = _decomposition_numerators(bg, v)
+    return Decomposition(
+        vertex=v,
+        global_part=Fraction(glob, den),
+        own_local=Fraction(own, den),
+        neighbor_locals={j: Fraction(x, den) for j, x in nbr.items()},
+    )
+
+
+def _decomposition_numerators(bg: BlownGraph, v: int) -> tuple[int, int, int, dict[int, int]]:
+    """``decompose_betweenness`` in integers: ``(den, global, own,
+    neighbor)``, each share a numerator over den."""
     g = bg.graph
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
     pv = bg.part_of[v]
-    cross, inside = bg.pair_split
+    den, cross, inside = bg.pair_numerators
     shares = dict(inside[v])
-    own = shares.pop(pv, _ZERO)
+    own = shares.pop(pv, 0)
     nbr_parts = sorted({bg.part_of[w] for w in g.adjacency[v]} - {pv})
-    nbr = {j: shares.pop(j, _ZERO) for j in nbr_parts}
+    nbr = {j: shares.pop(j, 0) for j in nbr_parts}
     if shares:
         raise AssertionError(
             f"pair inside part {min(shares)} routed through part {pv}, "
             "which is not a base neighbor"
         )
-    return Decomposition(vertex=v, global_part=cross[v], own_local=own, neighbor_locals=nbr)
+    return den, cross[v], own, nbr
 
 
 def _common_neighbors(h: Graph) -> Iterator[tuple[int, int]]:
@@ -412,18 +433,27 @@ def shares_by_part(
         )
 
 
-def betweenness_by_part(spec: BlowupSpec, shares=None) -> Iterator[tuple[Fraction, ...]]:
+def betweenness_by_part(spec: BlowupSpec) -> Iterator[tuple[Fraction, ...]]:
     """Exact betweenness of the blow-up, part by part, without building it.
 
     Yields one tuple per base vertex k: the values of part k's vertices
     in ``blow_up`` order, each the sum of the three shares that
-    ``shares_by_part`` gives.  ``shares`` takes those triples when the
-    caller already holds them; by default they are computed, lazily.
+    ``shares_by_part`` gives.  This is the ``Fraction`` view of
+    ``_part_numerators``.
     """
-    if shares is None:
-        shares = shares_by_part(spec)
-    for part, (glob, nbr, own) in zip(spec.parts, shares):
-        value = sum(nbr.values(), glob)
+    numerators = _spec_numerators(spec)
+    for values in _part_numerators(spec, numerators):
+        yield tuple(_fractions(numerators[0], values))
+
+
+def _part_numerators(spec: BlowupSpec, numerators) -> Iterator[tuple[int, ...]]:
+    """``betweenness_by_part`` in integers, read from ``numerators``, the
+    spec's ``_spec_numerators``: per part, each vertex's global share
+    plus neighbor shares plus own share, as numerators over its d."""
+    _, glob, local = numerators
+    for k, (part, nbrs) in enumerate(zip(spec.parts, spec.base.adjacency)):
+        value = glob[k] + sum(local[j][0] for j in nbrs)
+        own = local[k][1]
         yield (value,) * part.size if own is None else tuple(value + o for o in own)
 
 

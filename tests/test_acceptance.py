@@ -206,29 +206,32 @@ class TestCorpusPass:
     def _bump_profile(self, monkeypatch, v: int) -> None:
         # the exact profile of SPEC's blow-up gains 1 at vertex v
         target = blow_up(self.SPEC).graph
-        exact = acceptance.betweenness_exact
+        exact = acceptance._exact_numerators
 
         def bumped(g):
-            profile = exact(g)
+            den, profile = exact(g)
             if g == target:
-                profile[v] += 1
-            return profile
+                profile[v] += den
+            return den, profile
 
-        monkeypatch.setattr(acceptance, "betweenness_exact", bumped)
+        monkeypatch.setattr(acceptance, "_exact_numerators", bumped)
 
     def test_shifted_share_fails_only_criterion_7(self, monkeypatch):
-        # move 1 from a neighbor share to the global share of part 0: the
-        # sums stay right, the split does not
-        shares_by_part = acceptance.shares_by_part
+        # move 1 from the share of the pairs inside part 0's neighbor
+        # part j to the global share of part 0: j has no other neighbor,
+        # so the sums stay right, the split does not
+        spec_numerators = acceptance._spec_numerators
 
         def shifted(spec):
-            for k, (glob, nbr, own) in enumerate(shares_by_part(spec)):
-                if spec == self.SPEC and k == 0:
-                    j = min(nbr)
-                    glob, nbr = glob + 1, {**nbr, j: nbr[j] - 1}
-                yield glob, nbr, own
+            d, glob, local = spec_numerators(spec)
+            if spec == self.SPEC:
+                (j,) = spec.base.adjacency[0]
+                assert spec.base.adjacency[j] == (0,)
+                glob = [glob[0] + d, *glob[1:]]
+                local = [(x - d, own) if k == j else (x, own) for k, (x, own) in enumerate(local)]
+            return d, glob, local
 
-        monkeypatch.setattr(acceptance, "shares_by_part", shifted)
+        monkeypatch.setattr(acceptance, "_spec_numerators", shifted)
         c6, c7 = _corpus_criteria()
         assert c6 == (True, C6_PASS)
         assert c7 == (False, f"global share of part 0 of {self.SPEC.label()} disagrees at vertex 0")
@@ -247,17 +250,17 @@ class TestCorpusPass:
         # decomposition identity is the first check to see it
         v = 2
         self._bump_profile(monkeypatch, v)
-        by_part = acceptance.betweenness_by_part
+        by_part = acceptance._part_numerators
 
-        def following(spec, shares=None):
-            offset = 0
-            for values in by_part(spec, shares):
+        def following(spec, numerators):
+            d, offset = numerators[0], 0
+            for values in by_part(spec, numerators):
                 if spec == self.SPEC and offset <= v < offset + len(values):
-                    values = tuple(x + (i == v - offset) for i, x in enumerate(values))
+                    values = tuple(x + d * (i == v - offset) for i, x in enumerate(values))
                 offset += len(values)
                 yield values
 
-        monkeypatch.setattr(acceptance, "betweenness_by_part", following)
+        monkeypatch.setattr(acceptance, "_part_numerators", following)
         c6, c7 = _corpus_criteria()
         assert c6 == (False, f"decomposition mismatch at vertex {v} of {self.SPEC.label()}")
         assert c7 == (True, C7_PASS)
@@ -450,15 +453,15 @@ class TestOtherCriterionFailures:
     def test_criterion_1_names_a_disagreement(self, monkeypatch):
         # the oracle gains 1 at vertex 0 of the 4-path's class only
         target = parse_graph6("CL")
-        oracle = acceptance.betweenness_oracle
+        split = acceptance._split_numerators
 
-        def bumped(g):
-            profile = oracle(g)
+        def bumped(g, part_of):
+            den, cross, inside = split(g, part_of)
             if g == target:
-                profile[0] += 1
-            return profile
+                cross[0] += den
+            return den, cross, inside
 
-        monkeypatch.setattr(acceptance, "betweenness_oracle", bumped)
+        monkeypatch.setattr(acceptance, "_split_numerators", bumped)
         assert _BY_NUMBER[1](_Registry(), "full", 1) == (False, "algorithms disagree on CL")
 
     def test_criterion_2_wants_the_4_cycle(self, monkeypatch):

@@ -12,13 +12,15 @@ from hypothesis import strategies as st
 
 from bugraph.acceptance import _corpus_specs
 from bugraph.betweenness import (
+    _counting_bfs,
+    _exact_numerators,
+    _split_numerators,
     _twin_classes,
     betweenness_exact,
     betweenness_oracle,
     is_betweenness_uniform,
     oracle_split,
     profile_uniformity,
-    shortest_path_data,
 )
 from bugraph.blowup import PART_EXPLICIT, BlowupSpec, PartDescriptor, blow_up
 from bugraph.graphs import (
@@ -140,6 +142,33 @@ class TestOracleReference:
             bg = blow_up(spec)
             want = _typed(_reference_split(bg.graph, bg.part_of))
             assert _typed(bg.pair_split) == want
+
+
+class TestIntegerCores:
+    """The public engines are ``Fraction`` views of integer cores that
+    the acceptance suite reads directly: each must equal its core's
+    numerators over its denominator, on every graph class with <= 7
+    vertices and on every corpus blow-up (split by part there)."""
+
+    CASES = [(g, range(g.n)) for n in range(8) for g in enumerate_graphs(n)]
+    CASES += [(bg.graph, bg.part_of) for bg in map(blow_up, _corpus_specs())]
+
+    def test_exact_engine(self):
+        for g, _ in self.CASES:
+            den, nums = _exact_numerators(g)
+            assert len(nums) == g.n
+            assert betweenness_exact(g) == [Fraction(x, den) for x in nums]
+
+    def test_oracle(self):
+        for g, labels in self.CASES:
+            den, cross, inside = _split_numerators(g, labels)
+            want = (
+                [Fraction(x, den) for x in cross],
+                [{p: Fraction(x, den) for p, x in shares.items()} for shares in inside],
+            )
+            assert _typed(oracle_split(g, labels)) == _typed(want)
+            den, cross, _ = _split_numerators(g, range(g.n))
+            assert betweenness_oracle(g) == [Fraction(x, den) for x in cross]
 
 
 def _disjoint_union(*parts: Graph) -> Graph:
@@ -358,8 +387,10 @@ class TestProfileStructure:
                 if is_connected(g) and is_betweenness_uniform(g).uniform:
                     assert is_two_connected(g)
 
-    def test_shortest_path_data_symmetry(self, petersen):
-        dist, sigma = shortest_path_data(petersen)
+    def test_counting_bfs_symmetry(self, petersen):
+        rows = [_counting_bfs(petersen.adjacency, 10, s) for s in range(10)]
+        dist = [row[0] for row in rows]
+        sigma = [row[1] for row in rows]
         for u in range(10):
             for v in range(10):
                 assert dist[u][v] == dist[v][u]

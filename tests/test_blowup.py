@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import bugraph.blowup
 import bugraph.graphs
-from bugraph.betweenness import betweenness_exact
+from bugraph.acceptance import _corpus_specs
+from bugraph.betweenness import _exact_numerators, betweenness_exact
 from bugraph.blowup import (
     BlownGraph,
     BlowupSpec,
@@ -20,6 +21,10 @@ from bugraph.blowup import (
     DeltaUndefinedError,
     PartDescriptor,
     Decomposition,
+    _decomposition_numerators,
+    _part_numerators,
+    _spec_numerators,
+    betweenness_by_part,
     blow_up,
     decompose_betweenness,
     delta_extremal,
@@ -336,15 +341,16 @@ class TestDecomposition:
                     assert list(dec.neighbor_locals) == sorted(spec.base.adjacency[pi])
 
     def test_pair_split_computed_once_per_blowup(self, monkeypatch):
-        # decomposing every vertex reads one per-pair oracle pass
+        # decomposing every vertex and reading the Fraction split share
+        # one per-pair oracle pass
         calls = []
-        split = bugraph.blowup.oracle_split
+        split = bugraph.blowup._split_numerators
 
         def counting_split(g, part_of):
             calls.append(g)
             return split(g, part_of)
 
-        monkeypatch.setattr(bugraph.blowup, "oracle_split", counting_split)
+        monkeypatch.setattr(bugraph.blowup, "_split_numerators", counting_split)
         spec = BlowupSpec(
             base=generate("path", 4),
             parts=tuple(PartDescriptor.independent(2) for _ in range(4)),
@@ -352,6 +358,7 @@ class TestDecomposition:
         bg = blow_up(spec)
         for v in range(bg.graph.n):
             decompose_betweenness(bg, v)
+        bg.pair_split
         assert bg.graph.n == 8
         assert len(calls) == 1
 
@@ -430,6 +437,43 @@ class TestDecomposition:
         bg = blow_up(spec)
         for v in bg.part_vertices[0]:
             assert decompose_betweenness(bg, v).global_part == 0
+
+
+class TestFractionViews:
+    """The acceptance suite reads the integer forms of the closed form,
+    of the oracle's decomposition and of the exact engine; the public
+    ``Fraction`` views must equal them at every vertex of every corpus
+    blow-up."""
+
+    def test_every_corpus_vertex(self):
+        for spec in _corpus_specs():
+            bg = blow_up(spec)
+            d, glob, local = numerators = _spec_numerators(spec)
+            den, profile = _exact_numerators(bg.graph)
+            for k, (g, nbr, own) in enumerate(shares_by_part(spec)):
+                assert g == Fraction(glob[k], d)
+                assert nbr == {j: Fraction(local[j][0], d) for j in spec.base.adjacency[k]}
+                want = local[k][1]
+                assert own == (None if want is None else tuple(Fraction(o, d) for o in want))
+            values = [x for part in betweenness_by_part(spec) for x in part]
+            sums = [x for part in _part_numerators(spec, numerators) for x in part]
+            assert values == [Fraction(x, d) for x in sums]
+            assert values == [Fraction(x, den) for x in profile]
+            assert all(type(x) is Fraction for x in values)
+            split_den, cross, inside = bg.pair_numerators
+            for v in range(bg.graph.n):
+                dec = decompose_betweenness(bg, v)
+                d_den, d_glob, d_own, d_nbr = _decomposition_numerators(bg, v)
+                assert d_den == split_den and d_glob == cross[v]
+                assert sum(d_nbr.values()) + d_own == sum(inside[v].values())
+                assert dec == (
+                    v,
+                    Fraction(d_glob, d_den),
+                    Fraction(d_own, d_den),
+                    {j: Fraction(x, d_den) for j, x in d_nbr.items()},
+                )
+                assert list(dec.neighbor_locals) == list(d_nbr)
+                assert dec.total() == Fraction(profile[v], den)
 
 
 class TestLeafGlobalFormula:

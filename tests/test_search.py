@@ -491,6 +491,20 @@ class TestLemmas:
             assert rows == lemma_table(slot, 3, context)
             assert best == max(v for _, v in rows)
 
+    def test_grid_flags_a_lost_maximum(self, monkeypatch):
+        # the complete class sinks below the edgeless one at one point
+        real = bugraph.search.lemma_table
+
+        def sunk(slot, m, context):
+            rows = real(slot, m, context)
+            if context == (2, 1, 2):
+                rows = [(h, v - 1 if h.edge_count == 3 else v) for h, v in rows]
+            return rows
+
+        monkeypatch.setattr(bugraph.search, "lemma_table", sunk)
+        holds = _holds("first", 3, 2)
+        assert [ctx for ctx, ok in holds.items() if not ok] == [(2, 1, 2)]
+
     def test_clique_table_is_monotone_like(self):
         rows = lemma_table("first", 3, (1, 1, 1))
         by_edges = {h.edge_count: v for h, v in rows}
