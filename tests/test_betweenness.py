@@ -150,17 +150,19 @@ class TestIntegerCores:
     numerators over its denominator, on every graph class with <= 7
     vertices and on every corpus blow-up (split by part there)."""
 
-    CASES = [(g, range(g.n)) for n in range(8) for g in enumerate_graphs(n)]
-    CASES += [(bg.graph, bg.part_of) for bg in map(blow_up, _corpus_specs())]
+    @staticmethod
+    def _cases():
+        yield from ((g, range(g.n)) for n in range(8) for g in enumerate_graphs(n))
+        yield from ((bg.graph, bg.part_of) for bg in map(blow_up, _corpus_specs()))
 
     def test_exact_engine(self):
-        for g, _ in self.CASES:
+        for g, _ in self._cases():
             den, nums = _exact_numerators(g)
             assert len(nums) == g.n
             assert betweenness_exact(g) == [Fraction(x, den) for x in nums]
 
     def test_oracle(self):
-        for g, labels in self.CASES:
+        for g, labels in self._cases():
             den, cross, inside = _split_numerators(g, labels)
             want = (
                 [Fraction(x, den) for x in cross],
