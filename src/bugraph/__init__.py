@@ -21,7 +21,6 @@ from .blowup import (
     blow_up,
     decompose_betweenness,
     delta_extremal,
-    delta_xy,
     spec_from_json,
     spec_to_json,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "blow_up",
     "decompose_betweenness",
     "delta_extremal",
-    "delta_xy",
     "diameter",
     "enumerate_graphs",
     "enumerate_trees",

@@ -30,11 +30,10 @@ Two algorithms are provided on purpose:
 The oracle's per-pair loop lives in ``_split_numerators(g, part_of)``:
 for any vertex labels it returns, as integers over one denominator,
 each vertex's share from pairs with different labels and, per label,
-its share from pairs inside it.  ``oracle_split`` is its ``Fraction``
-view, ``betweenness_oracle`` that view with every vertex its own label,
-and ``blowup.decompose_betweenness`` reads it with blow-up parts as
-labels.  The acceptance suite compares the two engines' integers by
-cross-multiplication and builds no ``Fraction``.
+its share from pairs inside it.  ``betweenness_oracle`` reads it with
+every vertex its own label, and ``blowup.decompose_betweenness`` with
+blow-up parts as labels.  The acceptance suite compares the two
+engines' integers by cross-multiplication and builds no ``Fraction``.
 
 The two routes share no shortest-path code, and the oracle knows
 nothing of twins or blow-ups (this module imports nothing from
@@ -57,7 +56,6 @@ __all__ = [
     "betweenness_exact",
     "betweenness_oracle",
     "is_betweenness_uniform",
-    "oracle_split",
     "profile_uniformity",
 ]
 
@@ -207,22 +205,15 @@ def _counting_bfs(adj, n: int, s: int) -> tuple[list[int], list[int], list[int]]
     return dist, sigma, order
 
 
-def oracle_split(g: Graph, part_of) -> tuple[list[Fraction], list[dict]]:
+def _split_numerators(g: Graph, part_of) -> tuple[int, list[int], list[dict]]:
     """Betweenness by direct per-pair counting, split by pair labels.
 
     ``part_of[v]`` is any hashable label of vertex v.  Returns
-    ``(cross, inside)``: ``cross[x]`` is the share of x from pairs whose
-    endpoints carry different labels, and ``inside[x]`` maps a label p
-    to the share from pairs inside p, listing only the labels that have
-    a pair with a geodesic through x.  This is the ``Fraction`` view of
-    ``_split_numerators``.
-    """
-    return _split_fractions(*_split_numerators(g, part_of))
-
-
-def _split_numerators(g: Graph, part_of) -> tuple[int, list[int], list[dict]]:
-    """``oracle_split`` in integers: ``(den, cross, inside)``, where
-    ``cross[x] / den`` and ``inside[x][p] / den`` are its shares.
+    ``(den, cross, inside)`` in integers over one denominator:
+    ``cross[x] / den`` is the share of x from pairs whose endpoints
+    carry different labels, and ``inside[x][p] / den`` its share from
+    pairs inside label p.  ``inside[x]`` lists only the labels that have
+    a pair with a geodesic through x.
 
     A pair u, v at distance d adds the integer sigma(u,x) * sigma(x,v) at
     each interior vertex x of its geodesics, into the bucket of its
@@ -274,16 +265,10 @@ def _bucket_sums(acc: dict[int, list[int]], n: int, den: int) -> list[int]:
     return nums
 
 
-def _split_fractions(den: int, cross, inside) -> tuple[list[Fraction], list[dict]]:
-    # the Fraction view of a _split_numerators result; equal shares share
-    # one Fraction
-    values = {a: Fraction(a, den) for a in set(cross).union(*[d.values() for d in inside])}
-    return [values[a] for a in cross], [{p: values[a] for p, a in d.items()} for d in inside]
-
-
 def betweenness_oracle(g: Graph) -> list[Fraction]:
     """Betweenness by direct per-pair counting (the cross-check route):
-    ``oracle_split`` with every vertex its own label."""
+    ``_split_numerators`` with every vertex its own label, and one
+    ``Fraction`` per distinct value."""
     den, cross, _ = _split_numerators(g, range(g.n))
     return _fractions(den, cross)
 

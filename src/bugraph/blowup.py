@@ -20,15 +20,13 @@ pass through it.  Given candidate parts of one size per base vertex,
 ``GeodesicPlan.numerators`` returns one common denominator d and the
 integer numerators over d of every part's global share and of each
 candidate's shares inside parts.  The search screen compares these
-integers directly.  The leaf-part ratio of ``delta_xy`` and
-``delta_extremal`` is one ``Fraction`` of two sums of them, as d
-cancels; those two pass one candidate per vertex, while
-``search.lemma_table`` passes every graph class in one slot and reads
-each class's ratio from the same call.  ``shares_by_part`` is the
-``Fraction`` view of the one-candidate call (``_spec_numerators``),
-and ``bugraph decompose`` prints one part's entry;
-``betweenness_by_part`` is the view of its per-vertex sums
-(``_part_numerators``).
+integers directly.  The leaf-part ratio of ``delta_extremal`` is one
+``Fraction`` of two sums of them, as d cancels; it passes one
+candidate per vertex, while ``search.lemma_table`` passes every graph
+class in one slot and reads each class's ratio from the same call.
+``shares_by_part`` is the ``Fraction`` view of the one-candidate call
+(``_spec_numerators``), and ``bugraph decompose`` prints one part's
+entry; ``_part_numerators`` sums its shares per vertex, in integers.
 ``blow_up`` writes each edge of the built graph once and valid, so it
 sorts them and skips ``Graph``'s validation.
 ``decompose_betweenness`` is only the reference: it reads the same
@@ -48,7 +46,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from .betweenness import _fractions, _split_fractions, _split_numerators
+from .betweenness import _split_numerators
 from .graphs import Graph, parse_graph6, serialize_graph6
 
 __all__ = [
@@ -59,11 +57,9 @@ __all__ = [
     "DeltaUndefinedError",
     "GeodesicPlan",
     "PartDescriptor",
-    "betweenness_by_part",
     "blow_up",
     "decompose_betweenness",
     "delta_extremal",
-    "delta_xy",
     "geodesic_plan",
     "shares_by_part",
     "spec_from_json",
@@ -180,12 +176,6 @@ class BlownGraph(namedtuple("BlownGraph", "graph part_of part_vertices")):
         integers (``betweenness._split_numerators``), computed once."""
         return _split_numerators(self.graph, self.part_of)
 
-    @cached_property
-    def pair_split(self) -> tuple[list[Fraction], list[dict[int, Fraction]]]:
-        """``oracle_split`` of the blown-up graph by part: the ``Fraction``
-        view of ``pair_numerators``."""
-        return _split_fractions(*self.pair_numerators)
-
 
 def blow_up(spec: BlowupSpec) -> BlownGraph:
     """Materialize the blow-up described by ``spec``.
@@ -222,12 +212,6 @@ class Decomposition(namedtuple("Decomposition", "vertex global_part own_local ne
     ``Fraction`` shares, ``neighbor_locals`` keyed by part."""
 
     __slots__ = ()
-
-    def total(self) -> Fraction:
-        # numerators summed over the lcm of the denominators: one Fraction
-        shares = (self.global_part, self.own_local, *self.neighbor_locals.values())
-        den = lcm(*[x.denominator for x in shares])
-        return Fraction(sum(x.numerator * (den // x.denominator) for x in shares), den)
 
 
 def decompose_betweenness(bg: BlownGraph, v: int) -> Decomposition:
@@ -433,23 +417,15 @@ def shares_by_part(
         )
 
 
-def betweenness_by_part(spec: BlowupSpec) -> Iterator[tuple[Fraction, ...]]:
-    """Exact betweenness of the blow-up, part by part, without building it.
-
-    Yields one tuple per base vertex k: the values of part k's vertices
-    in ``blow_up`` order, each the sum of the three shares that
-    ``shares_by_part`` gives.  This is the ``Fraction`` view of
-    ``_part_numerators``.
-    """
-    numerators = _spec_numerators(spec)
-    for values in _part_numerators(spec, numerators):
-        yield tuple(_fractions(numerators[0], values))
-
-
 def _part_numerators(spec: BlowupSpec, numerators) -> Iterator[tuple[int, ...]]:
-    """``betweenness_by_part`` in integers, read from ``numerators``, the
-    spec's ``_spec_numerators``: per part, each vertex's global share
-    plus neighbor shares plus own share, as numerators over its d."""
+    """Exact betweenness of the blow-up, part by part, in integers and
+    without building it.
+
+    Reads ``numerators``, the spec's ``_spec_numerators``, and yields
+    one tuple per base vertex k: the values of part k's vertices in
+    ``blow_up`` order as numerators over its d, each the sum of the
+    global, neighbor and own shares that ``shares_by_part`` gives.
+    """
     _, glob, local = numerators
     for k, (part, nbrs) in enumerate(zip(spec.parts, spec.base.adjacency)):
         value = glob[k] + sum(local[j][0] for j in nbrs)
@@ -462,47 +438,22 @@ class DeltaUndefinedError(ValueError):
 
 
 class DeltaResult(namedtuple("DeltaResult", "value x y")):
-    """``delta_xy(spec, x, y)`` with the vertices x and y it compares."""
+    """``delta_extremal``'s ratio with the vertices x and y it compares."""
 
     __slots__ = ()
 
 
-def _locate(spec: BlowupSpec, v: int) -> tuple[int, int]:
-    """Part of blown-up vertex v and v's index inside it."""
-    if 0 <= v < spec.total_vertices:
-        for k, part in enumerate(spec.parts):
-            if v < part.size:
-                return k, v
-            v -= part.size
-    raise ValueError(f"vertex {v} out of range")
-
-
-def _leaf_neighbor(spec: BlowupSpec, leaf_part: int) -> int:
-    nbrs = spec.base.adjacency[leaf_part] if 0 <= leaf_part < spec.base.n else ()
-    if len(nbrs) != 1:
-        raise ValueError(f"part {leaf_part} is not a leaf part of the base")
-    return nbrs[0]
-
-
-def _delta(adj, sizes, glob, local, px: int, py: int, ix=None, iy=None) -> DeltaResult:
-    """The x/y ratio from the integer numerators of
-    ``GeodesicPlan.numerators``, whose common denominator cancels.
-
-    x is vertex ix of leaf part px and y vertex iy of its base neighbor
-    py; ``glob`` and ``local`` hold one entry per base vertex, and
-    ``adj`` and ``sizes`` describe the base and the parts.  An index
-    left ``None`` is the extremal one: inside a part only the own share
-    varies, so x maximizes it over part px and y minimizes it over part
-    py, lowest index on ties.
-    """
+def _delta(adj, sizes, glob, local, px: int, py: int) -> DeltaResult:
+    """``delta_extremal``'s ratio for leaf part px and its base neighbor
+    py, from the integer numerators of ``GeodesicPlan.numerators``:
+    ``glob`` and ``local`` hold one entry per base vertex, and ``adj``
+    and ``sizes`` describe the base and the parts."""
     # local[j][0]: what the pairs inside part j give each neighbor-part vertex
     pairs_x, own_x = local[px]
     pairs_y, own_y = local[py]
     # max and min return the first extremum, which is the lowest index
-    if ix is None:
-        ix = max(range(len(own_x)), key=own_x.__getitem__) if own_x else 0
-    if iy is None:
-        iy = min(range(len(own_y)), key=own_y.__getitem__) if own_y else 0
+    ix = max(range(len(own_x)), key=own_x.__getitem__) if own_x else 0
+    iy = min(range(len(own_y)), key=own_y.__getitem__) if own_y else 0
     x = sum(sizes[:px]) + ix
     y = sum(sizes[:py]) + iy
     numer = pairs_y - (own_y[iy] if own_y else 0)
@@ -515,36 +466,28 @@ def _delta(adj, sizes, glob, local, px: int, py: int, ix=None, iy=None) -> Delta
     return DeltaResult(value=Fraction(numer, denom), x=x, y=y)
 
 
-def _spec_delta(spec: BlowupSpec, px: int, py: int, ix=None, iy=None) -> DeltaResult:
-    _, glob, local = _spec_numerators(spec)
-    sizes = [p.size for p in spec.parts]
-    return _delta(spec.base.adjacency, sizes, glob, local, px, py, ix, iy)
-
-
-def delta_xy(spec: BlowupSpec, x: int, y: int) -> Fraction:
+def delta_extremal(spec: BlowupSpec, *, leaf_part: int = 0) -> DeltaResult:
     """Ratio comparing B(x) to B(y) across a leaf part boundary.
 
-    x lives in a leaf part, y in that leaf's unique neighbor part;
-    both are numbered as in ``blow_up``.  The ratio is (B_own(x)-share
-    y lacks) over (everything B(y) has that B(x) lacks); it equals 1
-    exactly when B(x) = B(y), and is < 1 when B(x) < B(y).  Numerator
-    and denominator are sums of the integer numerators of
+    x lives in part ``leaf_part``, which must be a leaf of the base, and
+    y in that leaf's unique neighbor part; both are numbered as in
+    ``blow_up``.  x maximizes betweenness over its part and y minimizes
+    it over its part, lowest index on ties: inside a part only the own
+    share varies, so it decides.  The ratio is (B_own(x)-share y lacks)
+    over (everything B(y) has that B(x) lacks); it equals 1 exactly
+    when B(x) = B(y), and is < 1 when B(x) < B(y).  Numerator and
+    denominator are sums of the integer numerators of
     ``GeodesicPlan.numerators`` over one common denominator, which
     cancels.  Raises DeltaUndefinedError when the denominator is 0,
     which happens for degenerate bases like a single edge.
     """
-    px, ix = _locate(spec, x)
-    py, iy = _locate(spec, y)
-    if _leaf_neighbor(spec, px) != py:
-        raise ValueError(f"y must sit in the unique base neighbor of part {px}")
-    return _spec_delta(spec, px, py, ix, iy).value
-
-
-def delta_extremal(spec: BlowupSpec, *, leaf_part: int = 0) -> DeltaResult:
-    """delta_xy at the extremal pair: x maximizes betweenness over the
-    leaf part, y minimizes it over the neighbor part (lowest index on
-    ties).  Inside a part only the own share varies, so it decides."""
-    return _spec_delta(spec, leaf_part, _leaf_neighbor(spec, leaf_part))
+    adj = spec.base.adjacency
+    nbrs = adj[leaf_part] if 0 <= leaf_part < spec.base.n else ()
+    if len(nbrs) != 1:
+        raise ValueError(f"part {leaf_part} is not a leaf part of the base")
+    _, glob, local = _spec_numerators(spec)
+    sizes = [p.size for p in spec.parts]
+    return _delta(adj, sizes, glob, local, leaf_part, nbrs[0])
 
 
 # ---------------------------------------------------------------------------

@@ -35,13 +35,7 @@ import sys
 from itertools import islice
 
 from .betweenness import betweenness_exact, profile_uniformity
-from .blowup import (
-    _locate,
-    blow_up,
-    shares_by_part,
-    spec_from_json,
-    spec_to_json,
-)
+from .blowup import blow_up, shares_by_part, spec_from_json, spec_to_json
 from .constructions import (
     p2_clique_spec,
     p3_independent_spec,
@@ -187,7 +181,10 @@ def _cmd_decompose(args) -> int:
     n = spec.total_vertices
     if not (0 <= args.vertex < n):
         raise _InputError(f"vertex {args.vertex} out of range for a {n}-vertex blow-up")
-    k, i = _locate(spec, args.vertex)
+    k, i = 0, args.vertex  # its part, and its index inside that part
+    while i >= spec.parts[k].size:
+        i -= spec.parts[k].size
+        k += 1
     glob, nbr, own = next(islice(shares_by_part(spec), k, None))
     _emit(
         {

@@ -584,6 +584,8 @@ def enumerate_graphs(n: int) -> list[Graph]:
 
     Deterministic canonical-form order.  Capped at GRAPH_ENUM_CAP.
     """
+    if type(n) is not int:
+        raise ValueError(f"graph enumeration needs an integer n, not {n!r}")
     if not (0 <= n <= GRAPH_ENUM_CAP):
         raise ValueError(f"graph enumeration supports 0 <= n <= {GRAPH_ENUM_CAP}, got {n}")
     from ._atlas import GRAPHS
@@ -593,6 +595,8 @@ def enumerate_graphs(n: int) -> list[Graph]:
 
 def enumerate_trees(n: int) -> list[Graph]:
     """All isomorphism classes of trees on n vertices (cap TREE_ENUM_CAP)."""
+    if type(n) is not int:
+        raise ValueError(f"tree enumeration needs an integer n, not {n!r}")
     if not (1 <= n <= TREE_ENUM_CAP):
         raise ValueError(f"tree enumeration supports 1 <= n <= {TREE_ENUM_CAP}, got {n}")
     from ._atlas import TREES

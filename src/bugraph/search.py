@@ -391,6 +391,8 @@ def lemma_table(
     """
     if slot not in _LEMMA_WINNERS:
         raise ValueError(f"unknown lemma slot {slot!r}")
+    if type(m) is not int:
+        raise ValueError(f"lemma verification needs an integer m, not {m!r}")
     if not (1 <= m <= _LEMMA_SIZE_CAP):
         raise ValueError(f"lemma verification supports 1 <= m <= {_LEMMA_SIZE_CAP}")
     x, c, d = context
@@ -422,6 +424,8 @@ def lemma_grid(slot: str, m: int, grid_max: int):
     {1..grid_max}^3, in product order: the context's ``lemma_table``
     rows, their maximum ratio, and whether the class the slot's lemma
     names (edgeless second, complete first) attains that maximum."""
+    if type(grid_max) is not int:
+        raise ValueError(f"lemma grid needs an integer grid_max, not {grid_max!r}")
     for context in product(range(1, grid_max + 1), repeat=3):
         rows = lemma_table(slot, m, context)
         want = 0 if _LEMMA_WINNERS[slot] == "edgeless" else m * (m - 1) // 2
@@ -457,6 +461,8 @@ def verify_tree_theorem(
     empty); smaller-diameter trees get an explicit uniform blow-up.
     The single-vertex tree is too small to be a base.
     """
+    if type(n_max) is not int:
+        raise ValueError(f"tree sweep needs an integer n_max, not {n_max!r}")
     if not (1 <= n_max <= _TREE_THEOREM_CAP):
         raise ValueError(f"tree sweep supports 1 <= n_max <= {_TREE_THEOREM_CAP}")
     out: list[TreeBlowupReport] = []
@@ -500,6 +506,8 @@ def explore_cut_conjecture(
     on up to n_max vertices.  A non-empty ``found`` would be a
     counterexample to the expectation that no such base has a uniform
     blow-up."""
+    if type(n_max) is not int:
+        raise ValueError(f"cut-vertex sweep needs an integer n_max, not {n_max!r}")
     if not (2 <= n_max <= _CUT_CONJECTURE_CAP):
         raise ValueError(f"cut-vertex sweep supports 2 <= n_max <= {_CUT_CONJECTURE_CAP}")
     return [

@@ -19,7 +19,6 @@ from bugraph.betweenness import (
     betweenness_exact,
     betweenness_oracle,
     is_betweenness_uniform,
-    oracle_split,
     profile_uniformity,
 )
 from bugraph.blowup import PART_EXPLICIT, BlowupSpec, PartDescriptor, blow_up
@@ -52,15 +51,16 @@ class TestAgreement:
     @settings(max_examples=60)
     def test_split_sums_to_oracle(self, g, data):
         labels = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
-        cross, inside = oracle_split(g, labels)
+        cross, inside = _as_fractions(*_split_numerators(g, labels))
         for v, value in enumerate(betweenness_oracle(g)):
             assert cross[v] + sum(inside[v].values()) == value
             assert all(labels.count(p) >= 2 for p in inside[v])
 
 
 def _reference_split(g: Graph, part_of) -> tuple[list[Fraction], list[dict]]:
-    """``oracle_split`` as a plain per-pair loop that adds one ``Fraction``
-    per pair and interior vertex, with geodesic counts from ``g.distances``."""
+    """``_split_numerators`` as a plain per-pair loop that adds one
+    ``Fraction`` per pair and interior vertex, with geodesic counts from
+    ``g.distances``."""
     n, dist, adj = g.n, g.distances, g.adjacency
     sigma = [[0] * n for _ in range(n)]
     for u in range(n):
@@ -91,16 +91,29 @@ def _typed(split):
     )
 
 
+def _as_fractions(den: int, cross, inside) -> tuple[list[Fraction], list[dict]]:
+    # a _split_numerators result as Fraction shares, keys in its order
+    return (
+        [Fraction(x, den) for x in cross],
+        [{p: Fraction(x, den) for p, x in shares.items()} for shares in inside],
+    )
+
+
+def _split(g: Graph, part_of):
+    # the oracle's split as typed Fraction shares
+    return _typed(_as_fractions(*_split_numerators(g, part_of)))
+
+
 class TestOracleReference:
-    """``oracle_split`` sums integers per geodesic count and builds its
-    ``Fraction``s at the end; a plain ``Fraction`` loop must give the same
-    values, types and key order."""
+    """``_split_numerators`` sums integers per geodesic count and scales
+    them to one denominator at the end; a plain ``Fraction`` loop must
+    give the same shares, in the same key order."""
 
     def test_all_small_classes(self):
         rng = random.Random(20261018)
         for g in (g for n in range(7) for g in enumerate_graphs(n)):
             for labels in (range(g.n), [rng.randrange(3) for _ in range(g.n)]):
-                assert _typed(oracle_split(g, labels)) == _typed(_reference_split(g, labels))
+                assert _split(g, labels) == _typed(_reference_split(g, labels))
             assert betweenness_oracle(g) == _reference_split(g, range(g.n))[0]
 
     def test_disconnected_graphs(self):
@@ -112,7 +125,7 @@ class TestOracleReference:
             g = Graph(n, edges)
             seen += not is_connected(g)
             labels = [rng.randrange(4) for _ in range(n)]
-            assert _typed(oracle_split(g, labels)) == _typed(_reference_split(g, labels))
+            assert _split(g, labels) == _typed(_reference_split(g, labels))
         assert seen >= 20
 
     @pytest.mark.parametrize("n", [12, 13, 16, 20])
@@ -122,7 +135,7 @@ class TestOracleReference:
         rng = random.Random(n)
         for g in (generate("path", n), generate("cycle", n)):
             for labels in (range(n), [rng.randrange(3) for _ in range(n)]):
-                assert _typed(oracle_split(g, labels)) == _typed(_reference_split(g, labels))
+                assert _split(g, labels) == _typed(_reference_split(g, labels))
 
     def test_isolated_vertices(self):
         # unreachable pairs count nothing, and an isolated vertex lies on
@@ -135,20 +148,21 @@ class TestOracleReference:
                 for graph in (g, h):
                     for labels in (range(graph.n), [rng.randrange(2) for _ in range(graph.n)]):
                         want = _typed(_reference_split(graph, labels))
-                        assert _typed(oracle_split(graph, labels)) == want
+                        assert _split(graph, labels) == want
 
     def test_corpus_blowups_by_part(self):
         for spec in _corpus_specs():
             bg = blow_up(spec)
             want = _typed(_reference_split(bg.graph, bg.part_of))
-            assert _typed(bg.pair_split) == want
+            assert _typed(_as_fractions(*bg.pair_numerators)) == want
 
 
 class TestIntegerCores:
     """The public engines are ``Fraction`` views of integer cores that
     the acceptance suite reads directly: each must equal its core's
     numerators over its denominator, on every graph class with <= 7
-    vertices and on every corpus blow-up (split by part there)."""
+    vertices and on every corpus blow-up.  The oracle's split by part
+    must also sum to its values there."""
 
     @staticmethod
     def _cases():
@@ -163,14 +177,11 @@ class TestIntegerCores:
 
     def test_oracle(self):
         for g, labels in self._cases():
-            den, cross, inside = _split_numerators(g, labels)
-            want = (
-                [Fraction(x, den) for x in cross],
-                [{p: Fraction(x, den) for p, x in shares.items()} for shares in inside],
-            )
-            assert _typed(oracle_split(g, labels)) == _typed(want)
             den, cross, _ = _split_numerators(g, range(g.n))
-            assert betweenness_oracle(g) == [Fraction(x, den) for x in cross]
+            want = [Fraction(x, den) for x in cross]
+            assert betweenness_oracle(g) == want
+            den, cross, inside = _split_numerators(g, labels)
+            assert [Fraction(c + sum(i.values()), den) for c, i in zip(cross, inside)] == want
 
 
 def _disjoint_union(*parts: Graph) -> Graph:

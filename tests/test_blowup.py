@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bugraph.blowup
@@ -24,11 +24,9 @@ from bugraph.blowup import (
     _decomposition_numerators,
     _part_numerators,
     _spec_numerators,
-    betweenness_by_part,
     blow_up,
     decompose_betweenness,
     delta_extremal,
-    delta_xy,
     shares_by_part,
     spec_from_json,
     spec_to_json,
@@ -300,6 +298,11 @@ class TestSigmaWithin:
         assert _neighbor_share(spec, 3, 0) == Fraction(2 * 1 // 2, 5)
 
 
+def _total(dec: Decomposition) -> Fraction:
+    # the betweenness a decomposition splits: the sum of its shares
+    return dec.global_part + dec.own_local + sum(dec.neighbor_locals.values())
+
+
 class TestDecomposition:
     @given(blowup_specs())
     @settings(max_examples=40, deadline=None)
@@ -308,23 +311,7 @@ class TestDecomposition:
         profile = betweenness_exact(bg.graph)
         for v in range(bg.graph.n):
             dec = decompose_betweenness(bg, v)
-            assert dec.total() == profile[v]
-
-    @given(blowup_specs())
-    @settings(max_examples=40, deadline=None)
-    def test_total_is_the_plain_fraction_sum(self, spec):
-        # only vertices whose shares have distinct denominators test the
-        # sum over their lcm; assume() keeps the blow-ups that have one
-        bg = blow_up(spec)
-        mixed = 0
-        for v in range(bg.graph.n):
-            dec = decompose_betweenness(bg, v)
-            shares = [dec.global_part, dec.own_local, *dec.neighbor_locals.values()]
-            total = dec.total()
-            assert type(total) is Fraction
-            assert total == sum(shares, Fraction(0))
-            mixed += len({x.denominator for x in shares}) > 1
-        assume(mixed)
+            assert _total(dec) == profile[v]
 
     @given(blowup_specs(max_base=3))
     @settings(max_examples=30, deadline=None)
@@ -341,7 +328,7 @@ class TestDecomposition:
                     assert list(dec.neighbor_locals) == sorted(spec.base.adjacency[pi])
 
     def test_pair_split_computed_once_per_blowup(self, monkeypatch):
-        # decomposing every vertex and reading the Fraction split share
+        # decomposing every vertex and reading the integer split share
         # one per-pair oracle pass
         calls = []
         split = bugraph.blowup._split_numerators
@@ -358,7 +345,7 @@ class TestDecomposition:
         bg = blow_up(spec)
         for v in range(bg.graph.n):
             decompose_betweenness(bg, v)
-        bg.pair_split
+        bg.pair_numerators
         assert bg.graph.n == 8
         assert len(calls) == 1
 
@@ -372,7 +359,7 @@ class TestDecomposition:
         # vertex 1 neighbors part 0, so the same pair is a neighbor share
         dec = decompose_betweenness(bg, 1)
         assert dec.neighbor_locals == {0: Fraction(1), 2: Fraction(0)}
-        assert dec.total() == betweenness_exact(g)[1]
+        assert _total(dec) == betweenness_exact(g)[1]
 
     def test_pair_loop_runs_once_per_explicit_part(self, monkeypatch):
         # each part's pairs feed its neighbor share and its own share
@@ -450,12 +437,15 @@ class TestFractionViews:
             bg = blow_up(spec)
             d, glob, local = numerators = _spec_numerators(spec)
             den, profile = _exact_numerators(bg.graph)
+            values = []
             for k, (g, nbr, own) in enumerate(shares_by_part(spec)):
                 assert g == Fraction(glob[k], d)
                 assert nbr == {j: Fraction(local[j][0], d) for j in spec.base.adjacency[k]}
                 want = local[k][1]
                 assert own == (None if want is None else tuple(Fraction(o, d) for o in want))
-            values = [x for part in betweenness_by_part(spec) for x in part]
+                # each vertex's value is the sum of its part's three shares
+                value = g + sum(nbr.values())
+                values += [value + o for o in own] if own else [value] * spec.parts[k].size
             sums = [x for part in _part_numerators(spec, numerators) for x in part]
             assert values == [Fraction(x, d) for x in sums]
             assert values == [Fraction(x, den) for x in profile]
@@ -473,7 +463,7 @@ class TestFractionViews:
                     {j: Fraction(x, d_den) for j, x in d_nbr.items()},
                 )
                 assert list(dec.neighbor_locals) == list(d_nbr)
-                assert dec.total() == Fraction(profile[v], den)
+                assert _total(dec) == Fraction(profile[v], den)
 
 
 class TestLeafGlobalFormula:
@@ -541,7 +531,6 @@ def _assert_matches_reference(spec: BlowupSpec, leaf_part: int = 0) -> None:
             delta_extremal(spec, leaf_part=leaf_part)
         return
     assert delta_extremal(spec, leaf_part=leaf_part) == want
-    assert delta_xy(spec, want.x, want.y) == want.value
 
 
 def _lemma_specs():
@@ -602,18 +591,6 @@ class TestDelta:
         profile = betweenness_exact(bg.graph)
         assert profile[res.x] < profile[res.y]
 
-    def test_explicit_pair_matches_extremal(self):
-        spec = BlowupSpec(
-            base=generate("path", 3),
-            parts=(
-                PartDescriptor.independent(2),
-                PartDescriptor.independent(5),
-                PartDescriptor.independent(3),
-            ),
-        )
-        res = delta_extremal(spec)
-        assert delta_xy(spec, res.x, res.y) == res.value
-
     def test_undefined_on_two_cliques(self):
         spec = BlowupSpec(
             base=generate("path", 2),
@@ -627,22 +604,8 @@ class TestDelta:
             base=generate("cycle", 3),
             parts=tuple(PartDescriptor.independent(2) for _ in range(3)),
         )
-        with pytest.raises(ValueError):
-            delta_xy(spec, 0, 2)
-
-    def test_rejects_out_of_range_vertices(self):
-        spec = BlowupSpec(
-            base=generate("path", 3),
-            parts=(
-                PartDescriptor.independent(2),
-                PartDescriptor.independent(3),
-                PartDescriptor.independent(1),
-            ),
-        )
-        delta_xy(spec, 0, 2)
-        for x, y in ((-1, 2), (6, 2), (0, -1), (0, 6)):
-            with pytest.raises(ValueError):
-                delta_xy(spec, x, y)
+        with pytest.raises(ValueError, match="is not a leaf part"):
+            delta_extremal(spec, leaf_part=0)
 
     def test_lemma_specs_match_reference(self):
         cases = 0
@@ -653,8 +616,8 @@ class TestDelta:
 
     def test_lemma_specs_match_fraction_shares(self):
         # the integer ratio against the same formula over the Fraction
-        # shares, at the extremal pair and at every other leaf-part pair
-        cases = others = 0
+        # shares, at the extremal pair
+        cases = 0
         for spec in _lemma_specs():
             shares = list(shares_by_part(spec))
             res = delta_extremal(spec)
@@ -665,15 +628,8 @@ class TestDelta:
             assert (res.x, res.y) == (ix, y0 + iy)
             assert res.value == _fraction_delta(spec, shares, res.x, res.y)
             assert type(res.value) is Fraction
-            for x, y in product(range(y0), range(y0, y0 + spec.parts[1].size)):
-                if (x, y) != (res.x, res.y):
-                    value = delta_xy(spec, x, y)
-                    assert value == _fraction_delta(spec, shares, x, y)
-                    assert type(value) is Fraction
-                    others += 1
             cases += 1
         assert cases == 972
-        assert others > 972
 
     def test_undefined_message_on_edge_base(self):
         spec = BlowupSpec(
@@ -683,9 +639,6 @@ class TestDelta:
         msg = "denominator of the x/y betweenness ratio vanished (x=0, y=2)"
         with pytest.raises(DeltaUndefinedError, match=re.escape(msg)):
             delta_extremal(spec)
-        msg = "denominator of the x/y betweenness ratio vanished (x=1, y=4)"
-        with pytest.raises(DeltaUndefinedError, match=re.escape(msg)):
-            delta_xy(spec, 1, 4)
 
     @given(blowup_specs(max_base=5, trees=True))
     @settings(max_examples=60, deadline=None)

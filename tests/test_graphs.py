@@ -519,3 +519,14 @@ class TestEnumeration:
             enumerate_graphs(8)
         with pytest.raises(ValueError):
             enumerate_trees(11)
+
+    # True would read as 1 and 2.0 as 2 if the counts were not checked
+    @pytest.mark.parametrize("n", [2.0, 2.5, True, "3", None])
+    def test_graph_count_must_be_an_int(self, n):
+        with pytest.raises(ValueError, match="^graph enumeration needs an integer n, not "):
+            enumerate_graphs(n)
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, True, "3", None])
+    def test_tree_count_must_be_an_int(self, n):
+        with pytest.raises(ValueError, match="^tree enumeration needs an integer n, not "):
+            enumerate_trees(n)

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used there or re-exported.
+"""Every name a library module imports is used there or re-exported,
+and every name it exports exists.
 
 The repository carries no linter, so this standard-library ``ast``
 scan stands in for the unused-import check.
@@ -7,6 +8,7 @@ scan stands in for the unused-import check.
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,11 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    # a stale __all__ entry would break ``from bugraph.<module> import *``
+    name = "bugraph" if path.stem == "__init__" else f"bugraph.{path.stem}"
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from fractions import Fraction
 from itertools import product
 from math import comb
 from operator import itemgetter
@@ -15,7 +16,8 @@ from bugraph.blowup import (
     BlowupSpec,
     GeodesicPlan,
     PartDescriptor,
-    betweenness_by_part,
+    _part_numerators,
+    _spec_numerators,
     blow_up,
     delta_extremal,
 )
@@ -84,11 +86,18 @@ def _images(hits, moves):
     return sorted({image for hit in hits for image in orbit(hit, moves)})
 
 
+def _closed_form_values(spec: BlowupSpec) -> list[Fraction]:
+    # every blown-up vertex's value from the closed form, in blow_up order
+    numerators = _spec_numerators(spec)
+    d = numerators[0]
+    return [Fraction(x, d) for part in _part_numerators(spec, numerators) for x in part]
+
+
 class TestScreen:
     @given(blowup_specs(max_base=4, max_part=3))
     @settings(max_examples=60, deadline=None)
     def test_vertex_values_match_exact(self, spec):
-        values = [v for part in betweenness_by_part(spec) for v in part]
+        values = _closed_form_values(spec)
         assert values == betweenness_exact(blow_up(spec).graph)
 
     @given(blowup_specs(max_base=4, max_part=3))
@@ -176,7 +185,7 @@ class TestScreen:
             base=generate("path", 14),
             parts=tuple(PartDescriptor.independent(40) for _ in range(14)),
         )
-        values = [v for part in betweenness_by_part(spec) for v in part]
+        values = _closed_form_values(spec)
         assert len(values) == 560
         cross = sum(j - i - 1 for i in range(14) for j in range(i + 1, 14))
         assert sum(values) == 40**2 * cross + 14 * comb(40, 2)
@@ -553,6 +562,18 @@ class TestLemmas:
         with pytest.raises(ValueError):
             lemma_table(slot, 3, context)
 
+    # True would read as 1 if the bounds were not checked, and 2.0 would
+    # reach range() as a float
+    @pytest.mark.parametrize("m", [2.0, 2.5, True, "3", None])
+    def test_table_size_must_be_an_int(self, m):
+        with pytest.raises(ValueError, match="^lemma verification needs an integer m, not "):
+            lemma_table("first", m, (1, 1, 1))
+
+    @pytest.mark.parametrize("grid_max", [2.0, 2.5, True, "3", None])
+    def test_grid_bound_must_be_an_int(self, grid_max):
+        with pytest.raises(ValueError, match="^lemma grid needs an integer grid_max, not "):
+            list(lemma_grid("second", 2, grid_max))
+
 
 class TestSweeps:
     def test_tree_theorem_small(self):
@@ -569,6 +590,16 @@ class TestSweeps:
     def test_tree_theorem_cap(self):
         with pytest.raises(ValueError):
             verify_tree_theorem(8, SearchBudget())
+
+    @pytest.mark.parametrize("n_max", [2.0, 2.5, True, "3", None])
+    def test_tree_theorem_bound_must_be_an_int(self, n_max):
+        with pytest.raises(ValueError, match="^tree sweep needs an integer n_max, not "):
+            verify_tree_theorem(n_max, SearchBudget(part_family="ik", max_part_size=3))
+
+    @pytest.mark.parametrize("n_max", [2.0, 2.5, True, "3", None])
+    def test_cut_conjecture_bound_must_be_an_int(self, n_max):
+        with pytest.raises(ValueError, match="^cut-vertex sweep needs an integer n_max, not "):
+            explore_cut_conjecture(n_max, SearchBudget(part_family="ik", max_part_size=3))
 
     def test_cut_conjecture_smallest(self):
         reports = explore_cut_conjecture(4, SearchBudget(part_family="ik", max_part_size=3))
