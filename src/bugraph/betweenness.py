@@ -14,6 +14,8 @@ Two algorithms are provided on purpose:
   (a clique class) have equal betweenness, so the engine runs one BFS
   per twin class on the class graph, with class sizes as
   multiplicities (the source-class reduction of Puzis et al. 2015).
+  The classes come from ``graphs._twin_classes``, the routine whose
+  classes also prune the canonical-form search.
   A blow-up's parts are twin classes, so a blow-up costs about what
   its base costs; on a twin-free graph every class is one vertex and
   this is plain Brandes.  Each source's dependencies are scaled by the
@@ -49,7 +51,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
-from .graphs import Graph
+from .graphs import Graph, _twin_classes
 
 __all__ = [
     "UniformityResult",
@@ -58,32 +60,6 @@ __all__ = [
     "is_betweenness_uniform",
     "profile_uniformity",
 ]
-
-
-def _twin_classes(g: Graph) -> list[list[int]]:
-    """The twin classes of ``g``, each an ascending vertex list, in
-    order of least member.
-
-    Vertices with one open neighbourhood form an independent class.
-    The vertices left alone there are grouped by closed neighbourhood
-    into clique classes.  A vertex v with a false twin u has no true
-    twin w: w would lie in N(v) = N(u), so u would lie in N[w] = N[v].
-    """
-    adj = g.adjacency
-    by_open: dict[tuple[int, ...], list[int]] = {}
-    for v, nbrs in enumerate(adj):
-        by_open.setdefault(nbrs, []).append(v)
-    classes = []
-    by_closed: dict[tuple[int, ...], list[int]] = {}
-    for members in by_open.values():
-        if len(members) > 1:
-            classes.append(members)
-        else:
-            v = members[0]
-            by_closed.setdefault(tuple(sorted(adj[v] + (v,))), []).append(v)
-    classes += by_closed.values()
-    classes.sort()
-    return classes
 
 
 def betweenness_exact(g: Graph) -> list[Fraction]:

@@ -240,6 +240,8 @@ def _decomposition_numerators(bg: BlownGraph, v: int) -> tuple[int, int, int, di
     """``decompose_betweenness`` in integers: ``(den, global, own,
     neighbor)``, each share a numerator over den."""
     g = bg.graph
+    if type(v) is not int:
+        raise ValueError(f"vertex must be an integer, not {v!r}")
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
     pv = bg.part_of[v]
@@ -481,6 +483,9 @@ def delta_extremal(spec: BlowupSpec, *, leaf_part: int = 0) -> DeltaResult:
     cancels.  Raises DeltaUndefinedError when the denominator is 0,
     which happens for degenerate bases like a single edge.
     """
+    # type(), not isinstance(): False must not pass for part 0
+    if type(leaf_part) is not int:
+        raise ValueError(f"leaf part must be an integer, not {leaf_part!r}")
     adj = spec.base.adjacency
     nbrs = adj[leaf_part] if 0 <= leaf_part < spec.base.n else ()
     if len(nbrs) != 1:

@@ -320,7 +320,7 @@ def _cmd_lemma_table(args) -> int:
     if args.grid_max < 1:
         raise _InputError("--grid-max must be >= 1")
     try:
-        grid = list(lemma_grid(args.slot, args.m, args.grid_max))
+        grid = lemma_grid(args.slot, args.m, args.grid_max)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
     expected = _LEMMA_WINNERS[args.slot]

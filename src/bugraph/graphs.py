@@ -121,9 +121,6 @@ class Graph(namedtuple("Graph", "n edges")):
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def relabel(self, new_of_old) -> "Graph":
         """Return the graph with vertex ``v`` renamed ``new_of_old[v]``."""
         if sorted(new_of_old) != list(range(self.n)):
@@ -140,6 +137,8 @@ class Graph(namedtuple("Graph", "n edges")):
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Distances from ``source``; unreachable vertices get -1."""
+    if type(source) is not int:
+        raise ValueError(f"source must be an integer, not {source!r}")
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range")
     dist = [-1] * g.n
@@ -357,19 +356,47 @@ def serialize_graph6(g: Graph) -> str:
 #
 # Canonical form = lexicographically smallest adjacency bit string over all
 # vertex orders that respect the refined color classes.  Color refinement is
-# the usual iterated (color, sorted neighbor colors) splitting; the search
-# additionally skips candidates that are twins of an already-tried candidate
-# (equal open or closed neighborhoods), since swapping twins is an
-# automorphism.  That keeps highly symmetric graphs (stars, cliques,
-# independent sets, blow-up parts) from exploding the branch count.
+# the usual iterated (color, sorted neighbor colors) splitting; at each slot
+# the search tries one candidate per twin class (``_twin_classes``): by the
+# lemma there, two vertices share a class exactly when they are open or
+# closed twins, and swapping twins is an automorphism, so the skipped
+# branches repeat a tried one.  That keeps highly symmetric graphs (stars,
+# cliques, independent sets, blow-up parts) from exploding the branch count.
 
 
-def _color_classes(n: int, bits) -> list[int]:
-    nbrs = [[u for u in range(n) if row >> u & 1] for row in bits]
+def _twin_classes(g: Graph) -> list[list[int]]:
+    """The twin classes of ``g``, each an ascending vertex list, in
+    order of least member.
+
+    Vertices with one open neighbourhood form an independent class.
+    The vertices left alone there are grouped by closed neighbourhood
+    into clique classes.  A vertex v with a false twin u has no true
+    twin w: w would lie in N(v) = N(u), so u would lie in N[w] = N[v].
+    The exact betweenness engine runs on the quotient by these classes.
+    """
+    adj = g.adjacency
+    by_open: dict[tuple[int, ...], list[int]] = {}
+    for v, nbrs in enumerate(adj):
+        by_open.setdefault(nbrs, []).append(v)
+    classes = []
+    by_closed: dict[tuple[int, ...], list[int]] = {}
+    for members in by_open.values():
+        if len(members) > 1:
+            classes.append(members)
+        else:
+            v = members[0]
+            by_closed.setdefault(tuple(sorted(adj[v] + (v,))), []).append(v)
+    classes += by_closed.values()
+    classes.sort()
+    return classes
+
+
+def _color_classes(g: Graph) -> list[int]:
+    nbrs = g.adjacency
     colors = [len(a) for a in nbrs]
     nclasses = len(set(colors))
     while True:
-        keys = [(colors[v], tuple(sorted([colors[u] for u in nbrs[v]]))) for v in range(n)]
+        keys = [(colors[v], tuple(sorted([colors[u] for u in a]))) for v, a in enumerate(nbrs)]
         uniq = sorted(set(keys))
         rank = {key: i for i, key in enumerate(uniq)}
         colors = [rank[key] for key in keys]
@@ -378,33 +405,28 @@ def _color_classes(n: int, bits) -> list[int]:
         nclasses = len(uniq)
 
 
-def _canonical_search(n: int, bits) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Return (perm, form) for the graph with adjacency row masks ``bits``:
-    perm[slot] = original vertex, form = bit groups.
+def _canonical_search(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Return (perm, form) for g: perm[slot] = original vertex, form =
+    bit groups.
 
     ``form[k]`` packs the adjacency of slot k against slots 0..k-1, most
     significant bit first, so comparing tuples compares bit strings.
     """
+    n = g.n
     if n == 0:
         return (), ()
-    colors = _color_classes(n, bits)
+    bits = g.adjacency_bits
+    colors = _color_classes(g)
     members: dict[int, list[int]] = {}
     for v in range(n):
         members.setdefault(colors[v], []).append(v)
     slot_color: list[int] = []
     for c in sorted(members):
         slot_color.extend([c] * len(members[c]))
-
-    # twin classes: equal open masks, or equal closed masks
-    open_ids: dict[int, int] = {}
-    closed_ids: dict[int, int] = {}
-    f_of = [0] * n
-    t_of = [0] * n
-    for v in range(n):
-        m = bits[v]
-        f_of[v] = open_ids.setdefault(m, len(open_ids))
-        cm = m | (1 << v)
-        t_of[v] = closed_ids.setdefault(cm, len(closed_ids))
+    twin = [0] * n
+    for i, cls in enumerate(_twin_classes(g)):
+        for v in cls:
+            twin[v] = i
 
     best: list[int | None] = [None] * n
     best_perm: list[tuple[int, ...]] = [()]
@@ -415,15 +437,11 @@ def _canonical_search(n: int, bits) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if k == n:
             best_perm[0] = tuple(assigned)
             return
-        tried_f: set[int] = set()
-        tried_t: set[int] = set()
+        tried: set[int] = set()
         for v in members[slot_color[k]]:
-            if used[v]:
+            if used[v] or twin[v] in tried:
                 continue
-            if f_of[v] in tried_f or t_of[v] in tried_t:
-                continue
-            tried_f.add(f_of[v])
-            tried_t.add(t_of[v])
+            tried.add(twin[v])
             bv = bits[v]
             w = 0
             for a in assigned:
@@ -447,13 +465,13 @@ def _canonical_search(n: int, bits) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def canonical_form(g: Graph) -> tuple[int, ...]:
     """Label-invariant encoding: equal forms iff isomorphic graphs."""
-    _, form = _canonical_search(g.n, g.adjacency_bits)
+    _, form = _canonical_search(g)
     return (g.n,) + form
 
 
 def canonical_relabel(g: Graph) -> Graph:
     """The canonically labeled representative of g's isomorphism class."""
-    perm, _ = _canonical_search(g.n, g.adjacency_bits)
+    perm, _ = _canonical_search(g)
     new_of_old = [0] * g.n
     for slot, old in enumerate(perm):
         new_of_old[old] = slot
@@ -462,43 +480,23 @@ def canonical_relabel(g: Graph) -> Graph:
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Exact isomorphism test; intended for the small graphs used here."""
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    if sorted(g.degree(v) for v in range(g.n)) != sorted(h.degree(v) for v in range(h.n)):
-        return False
     return canonical_form(g) == canonical_form(h)
 
 
 # ---------------------------------------------------------------------------
 # automorphism groups
 #
-# A stabilizer chain over the vertices in BFS order b_0, b_1, ...: level k
-# holds one automorphism that fixes b_0..b_{k-1} and maps b_k to v, for each
-# v that the automorphisms already found (all of which fix b_0..b_{k-1}) do
-# not map b_k to.  Levels run from the last vertex back, so at every level
-# the generators found so far generate the whole pointwise stabilizer below
-# it, and |Aut| is the product over levels of the orbit size of b_k.  Each
-# automorphism comes from a backtracking search that keeps refined colors
-# and adjacency to the vertices already mapped; with BFS order, a vertex's
-# image must neighbor the image of an earlier vertex.
-
-
-def _bfs_order(g: Graph) -> list[int]:
-    order: list[int] = []
-    seen = bytearray(g.n)
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = 1
-        i = len(order)
-        order.append(root)
-        while i < len(order):
-            for w in g.adjacency[order[i]]:
-                if not seen[w]:
-                    seen[w] = 1
-                    order.append(w)
-            i += 1
-    return order
+# A stabilizer chain over the vertices in the order b_0, b_1, ... that sorts
+# them by component (its least vertex r) and then by distance from r: level
+# k holds one automorphism that fixes b_0..b_{k-1} and maps b_k to v, for
+# each v that the automorphisms already found (all of which fix
+# b_0..b_{k-1}) do not map b_k to.  Levels run from the last vertex back, so
+# at every level the generators found so far generate the whole pointwise
+# stabilizer below it, and |Aut| is the product over levels of the orbit
+# size of b_k.  Each automorphism comes from a backtracking search that
+# keeps refined colors and adjacency to the vertices already mapped; in
+# this order every vertex but a component's first comes after one of its
+# neighbours, so its image must neighbor the image of an earlier vertex.
 
 
 def _extend_automorphism(bits, colors, order, k: int, t: int) -> tuple[int, ...] | None:
@@ -548,8 +546,10 @@ def automorphisms(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     group's order.
     """
     bits = g.adjacency_bits
-    colors = _color_classes(g.n, bits)
-    order = _bfs_order(g)
+    colors = _color_classes(g)
+    dist = g.distances
+    # the least u that v reaches is its component's least vertex, d their distance
+    order = sorted(range(g.n), key=lambda v: min((u, d) for u, d in enumerate(dist[v]) if d >= 0))
     gens: list[tuple[int, ...]] = []
     size = 1
     for k in reversed(range(g.n)):

@@ -419,18 +419,22 @@ def lemma_table(
     return rows
 
 
-def lemma_grid(slot: str, m: int, grid_max: int):
-    """Yield ``(context, rows, best, holds)`` for every context in
+def lemma_grid(slot: str, m: int, grid_max: int) -> list:
+    """``(context, rows, best, holds)`` for every context in
     {1..grid_max}^3, in product order: the context's ``lemma_table``
     rows, their maximum ratio, and whether the class the slot's lemma
     names (edgeless second, complete first) attains that maximum."""
     if type(grid_max) is not int:
         raise ValueError(f"lemma grid needs an integer grid_max, not {grid_max!r}")
+    if grid_max < 1:
+        raise ValueError("lemma grid needs grid_max >= 1")
+    grid = []
     for context in product(range(1, grid_max + 1), repeat=3):
-        rows = lemma_table(slot, m, context)
+        rows = lemma_table(slot, m, context)  # checks slot and m first
         want = 0 if _LEMMA_WINNERS[slot] == "edgeless" else m * (m - 1) // 2
         best = max(v for _, v in rows)
-        yield context, rows, best, any(v == best for h, v in rows if h.edge_count == want)
+        grid.append((context, rows, best, any(v == best for h, v in rows if h.edge_count == want)))
+    return grid
 
 
 # ---------------------------------------------------------------------------

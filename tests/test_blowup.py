@@ -14,6 +14,7 @@ import bugraph.blowup
 import bugraph.graphs
 from bugraph.acceptance import _corpus_specs
 from bugraph.betweenness import _exact_numerators, betweenness_exact
+from bugraph.constructions import p3_independent_spec
 from bugraph.blowup import (
     BlownGraph,
     BlowupSpec,
@@ -349,6 +350,13 @@ class TestDecomposition:
         assert bg.graph.n == 8
         assert len(calls) == 1
 
+    # True would read as vertex 1, and 1.0 would index a tuple as a float
+    @pytest.mark.parametrize("v", [True, 1.0, "1", None])
+    def test_vertex_must_be_an_int(self, v):
+        bg = blow_up(p3_independent_spec(2, 3))
+        with pytest.raises(ValueError, match="^vertex must be an integer, not "):
+            decompose_betweenness(bg, v)
+
     def test_pair_inside_a_non_neighbor_part_is_rejected(self):
         # path 0-1-2-3-4 with parts {0, 4}, {1, 3}, {2}: the pair 0, 4 of
         # part 0 routes through vertex 2, whose part has no edge to part 0
@@ -492,10 +500,10 @@ class TestLeafGlobalFormula:
         base = spec.base
         shares = list(shares_by_part(spec))
         for leaf in range(base.n):
-            if base.degree(leaf) != 1:
+            if len(base.adjacency[leaf]) != 1:
                 continue
             (j,) = base.adjacency[leaf]
-            if base.degree(j) > 2:
+            if len(base.adjacency[j]) > 2:
                 continue
             n1, n2 = spec.parts[leaf].size, spec.parts[j].size
             want = Fraction(n1 * (spec.total_vertices - n1 - n2), n2)
@@ -607,6 +615,12 @@ class TestDelta:
         with pytest.raises(ValueError, match="is not a leaf part"):
             delta_extremal(spec, leaf_part=0)
 
+    # 2.0 would index the adjacency as a float, False would read as part 0
+    @pytest.mark.parametrize("leaf_part", [2.0, False, True, "0", None])
+    def test_leaf_part_must_be_an_int(self, leaf_part):
+        with pytest.raises(ValueError, match="^leaf part must be an integer, not "):
+            delta_extremal(p3_independent_spec(2, 3), leaf_part=leaf_part)
+
     def test_lemma_specs_match_reference(self):
         cases = 0
         for spec in _lemma_specs():
@@ -644,7 +658,7 @@ class TestDelta:
     @settings(max_examples=60, deadline=None)
     def test_tree_leaf_parts_match_reference(self, spec):
         for leaf in range(spec.base.n):
-            if spec.base.degree(leaf) == 1:
+            if len(spec.base.adjacency[leaf]) == 1:
                 _assert_matches_reference(spec, leaf)
 
 

@@ -72,7 +72,7 @@ class TestGraphType:
     def test_adjacency_and_degree(self):
         g = Graph(4, ((0, 1), (1, 2), (1, 3)))
         assert g.adjacency[1] == (0, 2, 3)
-        assert g.degree(1) == 3
+        assert len(g.adjacency[1]) == 3
         assert g.adjacency_bits == (0b10, 0b1101, 0b10, 0b10)
 
     def test_distances_rows(self):
@@ -213,7 +213,7 @@ class TestGenerate:
     def test_cycle(self):
         g = generate("cycle", 4)
         assert g.edge_count == 4
-        assert all(g.degree(v) == 2 for v in range(4))
+        assert all(len(g.adjacency[v]) == 2 for v in range(4))
         with pytest.raises(ValueError):
             generate("cycle", 2)
 
@@ -224,8 +224,8 @@ class TestGenerate:
     def test_star_center_is_last(self):
         g = generate("star", 3)
         assert g.n == 4
-        assert g.degree(3) == 3
-        assert all(g.degree(v) == 1 for v in range(3))
+        assert len(g.adjacency[3]) == 3
+        assert all(len(g.adjacency[v]) == 1 for v in range(3))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -324,6 +324,12 @@ class TestPredicates:
     def test_cut_vertices_of_path(self):
         assert cut_vertices(generate("path", 5)) == [1, 2, 3]
 
+    # True would run from vertex 1, and 1.0 would index a list as a float
+    @pytest.mark.parametrize("source", [True, 1.0, "1", None])
+    def test_bfs_source_must_be_an_int(self, source):
+        with pytest.raises(ValueError, match="^source must be an integer, not "):
+            bfs_distances(generate("path", 3), source)
+
 
 class TestCanonical:
     @given(graphs(min_n=1, max_n=6), st.randoms())
@@ -344,6 +350,13 @@ class TestCanonical:
         two_triangles = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
         assert not is_isomorphic(c6, two_triangles)
 
+    def test_different_sizes_are_not_isomorphic(self):
+        # no pre-check: the forms differ in n, or in the adjacency bits
+        assert not is_isomorphic(generate("path", 4), generate("path", 5))
+        assert not is_isomorphic(Graph(0, ()), Graph(1, ()))
+        assert not is_isomorphic(generate("path", 4), generate("cycle", 4))
+        assert not is_isomorphic(generate("empty", 3), Graph(3, ((0, 1),)))
+
 
 def _generated_group(n: int, gens) -> set[tuple[int, ...]]:
     group = {tuple(range(n))}
@@ -360,10 +373,14 @@ def _generated_group(n: int, gens) -> set[tuple[int, ...]]:
 class TestAutomorphisms:
     @pytest.mark.parametrize("n", range(7))
     def test_group_matches_brute_force(self, n):
-        # every class, and the class with its vertices reversed, so the
-        # BFS order is not always the canonical one
+        # every class, the class with its vertices reversed, and a seeded
+        # shuffle that interleaves components in vertex order, so the
+        # search's vertex order is not always a BFS order from vertex 0
+        rng = random.Random(n)
         for c in enumerate_graphs(n):
-            for g in (c, c.relabel(tuple(reversed(range(n))))):
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            for g in (c, c.relabel(tuple(reversed(range(n)))), c.relabel(tuple(shuffled))):
                 edges = set(g.edges)
                 brute = {
                     p

@@ -521,7 +521,15 @@ class TestLemmas:
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            next(lemma_grid("second", 6, 1))
+            lemma_grid("second", 6, 1)
+
+    # the grid is a list, so each check fires at the call, not at a read
+    @pytest.mark.parametrize(
+        "slot, m, grid_max", [("bogus", 9, 2), ("middle", 2, 2), ("second", 0, 2), ("first", 2, 0)]
+    )
+    def test_bad_grid_arguments_raise_at_the_call(self, slot, m, grid_max):
+        with pytest.raises(ValueError):
+            lemma_grid(slot, m, grid_max)
 
     @pytest.mark.parametrize("slot", ("first", "second"))
     def test_table_matches_delta_extremal(self, slot):
@@ -572,7 +580,7 @@ class TestLemmas:
     @pytest.mark.parametrize("grid_max", [2.0, 2.5, True, "3", None])
     def test_grid_bound_must_be_an_int(self, grid_max):
         with pytest.raises(ValueError, match="^lemma grid needs an integer grid_max, not "):
-            list(lemma_grid("second", 2, grid_max))
+            lemma_grid("second", 2, grid_max)
 
 
 class TestSweeps:
