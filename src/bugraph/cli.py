@@ -317,8 +317,6 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_lemma_table(args) -> int:
-    if args.grid_max < 1:
-        raise _InputError("--grid-max must be >= 1")
     try:
         grid = lemma_grid(args.slot, args.m, args.grid_max)
     except ValueError as exc:

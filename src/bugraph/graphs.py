@@ -480,6 +480,8 @@ def canonical_relabel(g: Graph) -> Graph:
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Exact isomorphism test; intended for the small graphs used here."""
+    if g.n != h.n or g.edge_count != h.edge_count:
+        return False
     return canonical_form(g) == canonical_form(h)
 
 

@@ -14,21 +14,21 @@ the first part that differs.
 Symmetry: an automorphism pi of the base maps an assignment A to
 A o pi, which is uniform iff A is, with an isomorphic blow-up, and it
 maps the candidate lists onto themselves.  So the search lists one size
-tuple per orbit of Aut(base), the first in ``itertools.product`` order,
-with the orbit's size as its weight.  A scan task makes that one call
-per listed size tuple and screens every assignment of the tuple's
-candidates, so I_m and K_m candidates, and all explicit classes of one
-size, share one plan run.  Each screened assignment counts as
-``weight`` examined specs, and a task returns its hits as bare tuples
-of candidate indices.  Only ``search_blowups`` knows the group: it
-verifies one hit per orbit, twice over, with the two independent
-betweenness algorithms on the built graph, and reports every image in
-assignment order, last base vertex fastest.  The group comes from
-``graphs.automorphisms`` as a few generators, and orbits are closed
-under those, so the work does not grow with the group's order.  The
-work per assignment does not grow with part sizes.  A serial search is
-one scan task run inline; a parallel one hands slices of the listed
-size tuples to a process pool.
+tuple per orbit of Aut(base), its least member, with the orbit's size
+as its weight; the listing holds nothing between tuples, so every base
+is reduced.  A scan task makes one ``numerators`` call per listed size
+tuple and screens every assignment of the tuple's candidates, so I_m
+and K_m candidates, and all explicit classes of one size, share one
+plan run.  Each screened assignment counts as ``weight`` examined
+specs, and a task returns its hits as bare tuples of candidate indices.
+Only ``search_blowups`` knows the group: it verifies one hit per orbit,
+twice over, with the two independent betweenness algorithms on the
+built graph, and reports every image in assignment order, last base
+vertex fastest.  The group comes from ``graphs.automorphisms`` as a few
+generators, and orbits are closed under those, so the work does not
+grow with the group's order.  The work per assignment does not grow
+with part sizes.  A serial search is one scan task run inline; a
+parallel one hands slices of the listed size tuples to a process pool.
 
 Pruning: a size-1 part on a base *cut vertex* leaves a cut vertex in
 the blown-up graph, and no uniform graph on three or more vertices has
@@ -94,10 +94,6 @@ _ALL_FAMILY_SIZE_CAP = 5
 _LEMMA_SIZE_CAP = 5
 _TREE_THEOREM_CAP = 7
 _CUT_CONJECTURE_CAP = 6
-# size tuples above which a search screens every tuple rather than one
-# per orbit of Aut(base); 4**9, so every base on up to 9 vertices with
-# parts of size <= 4 is reduced
-_ORBIT_TUPLE_CAP = 1 << 18
 # orbits per pool task, at most: what the pool holds at once stays small
 _POOL_SLICE_CAP = 1024
 
@@ -187,26 +183,27 @@ def _verify_hit(spec: BlowupSpec) -> None:
 
 
 def _size_orbits(sizes, moves, max_total):
-    """Yield ``(sizes, weight)``: the first size tuple of each orbit of
+    """Yield ``(sizes, weight)``: the least size tuple of each orbit of
     Aut(base) in ``itertools.product`` order over ``sizes``, with the
     orbit's size.
 
     ``moves`` generate the group: ``itemgetter(*p)`` for a generator p
-    maps a tuple t to ``t[p[0]], t[p[1]], ...``.  Tuples over
-    ``max_total`` are skipped; the total is the same on a whole orbit.
-    Only the members of orbits already yielded that product order has
-    not reached yet are held.
+    maps a tuple t to ``t[p[0]], t[p[1]], ...``.  Each list in ``sizes``
+    ascends, so product order is lexicographic and an orbit's least
+    member is the first that it reaches; nothing is held between
+    tuples.  Tuples over ``max_total`` are skipped; the total is the
+    same on a whole orbit.
     """
-    ahead: set[tuple[int, ...]] = set()
     for t in product(*sizes):
         if max_total is not None and sum(t) > max_total:
             continue
-        if t in ahead:
-            ahead.remove(t)
-            continue
-        members = orbit(t, moves)
-        ahead.update(members[1:])
-        yield t, len(members)
+        for move in moves:
+            if move(t) < t:  # a generator maps t below itself
+                break
+        else:
+            members = orbit(t, moves)
+            if min(members) == t:
+                yield t, len(members)
 
 
 def _scan_task(args) -> tuple[int, list[tuple[int, ...]], bool]:
@@ -327,11 +324,8 @@ def search_blowups(base: Graph, budget: SearchBudget, *, jobs: int = 1) -> Searc
     sizes = [list(dict.fromkeys(c.size for c in cands)) for cands in cand_lists]
     tuples = prod(map(len, sizes))
     # An automorphism maps cut vertices to cut vertices, so it maps
-    # cand_lists onto itself.  The orbit listing holds the members of
-    # listed orbits that product order has not reached, up to one per
-    # size tuple; past the cap every size tuple is screened, as if
-    # Aut(base) were trivial.
-    order, gens = automorphisms(base) if tuples <= _ORBIT_TUPLE_CAP else (1, ())
+    # cand_lists onto itself.
+    order, gens = automorphisms(base)
     moves = [itemgetter(*p) for p in gens]
     reps = _size_orbits(sizes, moves, budget.max_total_vertices)
     # CLOCK_MONOTONIC is system-wide, so workers can compare against a

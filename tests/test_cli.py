@@ -597,9 +597,12 @@ class TestLemmaTable:
 
     @pytest.mark.parametrize("argv", [("--m", "6"), ("--m", "0"), ("--grid-max", "0")])
     def test_out_of_range_is_bad_input(self, capsys, argv):
-        code, out, _ = run(capsys, "lemma-table", *argv)
+        code, out, err = run(capsys, "lemma-table", *argv)
         assert code == 3
         assert out == ""
+        if argv[0] == "--grid-max":
+            # lemma_grid's own check, passed through unchanged
+            assert err == "error: lemma grid needs grid_max >= 1\n"
 
 
 class TestVerifyPaper:

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from itertools import combinations, permutations, product
 from pathlib import Path
@@ -351,11 +352,17 @@ class TestCanonical:
         assert not is_isomorphic(c6, two_triangles)
 
     def test_different_sizes_are_not_isomorphic(self):
-        # no pre-check: the forms differ in n, or in the adjacency bits
         assert not is_isomorphic(generate("path", 4), generate("path", 5))
         assert not is_isomorphic(Graph(0, ()), Graph(1, ()))
         assert not is_isomorphic(generate("path", 4), generate("cycle", 4))
         assert not is_isomorphic(generate("empty", 3), Graph(3, ((0, 1),)))
+
+    def test_different_edge_counts_are_rejected_before_searching(self):
+        # the canonical search on the 18-cycle takes over 30 s, so the
+        # edge counts must answer first
+        start = time.perf_counter()
+        assert not is_isomorphic(generate("cycle", 18), generate("path", 18))
+        assert time.perf_counter() - start < 1.0
 
 
 def _generated_group(n: int, gens) -> set[tuple[int, ...]]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import comb
 from operator import itemgetter
 
@@ -280,22 +280,15 @@ class TestOrbitScreen:
         rep = search_blowups(parse_graph6(graph6), budget, jobs=jobs)
         assert (len(rep.found), len(calls)) == (hits, verified)
 
-    def test_past_the_cap_every_size_tuple_is_screened(self, monkeypatch):
-        base = parse_graph6("CF")
-        budget = SearchBudget(part_family="ik", max_part_size=4)
-        reduced = search_blowups(base, budget)
-        monkeypatch.setattr(bugraph.search, "_ORBIT_TUPLE_CAP", 63)
-
-        def unused(g):
-            raise AssertionError("automorphisms computed past the cap")
-
-        monkeypatch.setattr(bugraph.search, "automorphisms", unused)
-        capped = search_blowups(base, budget)
-        assert (capped.found, capped.specs_examined, capped.exhausted) == (
-            reduced.found,
-            reduced.specs_examined,
-            reduced.exhausted,
-        )
+    def test_every_base_is_reduced_past_a_quarter_million_size_tuples(self):
+        # 4 * 5**11 assignments over 2 * 3**11 = 354,294 size tuples, and
+        # 2 * C(13, 2) orbits under the symmetric group on the 11 leaves;
+        # a tuple-by-tuple screen decides about 12 million of them in 30 s
+        base = generate("star", 11)
+        budget = SearchBudget(part_family="ik", max_part_size=3, time_limit=30)
+        rep = search_blowups(base, budget)
+        assert rep.exhausted and rep.found == []
+        assert rep.specs_examined == 195_312_500
 
     def test_star_screens_one_size_tuple_per_orbit(self):
         # 4 * 5**8 assignments over 2 * 3**8 size tuples; the symmetric
@@ -319,6 +312,65 @@ class TestOrbitScreen:
         reps = list(_size_orbits(sizes, _moves(generate("cycle", 3)), 5))
         assert [t for t, _ in reps] == [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2)]
         assert [w for _, w in reps] == [1, 3, 3, 3]
+
+
+def _listing_bases():
+    # every tree on 2..7 vertices with I/K parts of size <= 4, and the six
+    # bases of the benchmark sweep at their budgets
+    ik4 = SearchBudget(part_family="ik", max_part_size=4)
+    trees = [(t, ik4) for n in range(2, 8) for t in enumerate_trees(n)]
+    sweep = [
+        (parse_graph6(g6), SearchBudget(part_family=family, max_part_size=m))
+        for g6, family, m in [
+            ("Bg", "ik", 6),
+            ("CF", "ik", 4),
+            ("Dhc", "ik", 4),
+            ("Ch", "ik", 6),
+            ("DC[", "ik", 4),
+            ("DKK", "all", 3),
+        ]
+    ]
+    return trees + sweep
+
+
+def _brute_force_orbits(base, sizes, max_total):
+    # the whole group, as every vertex permutation that keeps the edge
+    # set; each orbit once, as its least member and its size, in product
+    # order
+    edges = {frozenset(e) for e in base.edges}
+    group = [
+        p for p in permutations(range(base.n))
+        if all(frozenset((p[u], p[v])) in edges for u, v in base.edges)
+    ]
+    tuples = [t for t in product(*sizes) if max_total is None or sum(t) <= max_total]
+    rank = {t: i for i, t in enumerate(tuples)}
+    seen: set = set()
+    out = []
+    for t in tuples:
+        if t not in seen:
+            members = {tuple(t[v] for v in p) for p in group}
+            seen |= members
+            out.append((min(members), len(members)))
+    return sorted(out, key=lambda rep: rank[rep[0]])
+
+
+class TestSizeOrbits:
+    @pytest.mark.parametrize(
+        "base, budget",
+        _listing_bases(),
+        ids=lambda x: serialize_graph6(x) if isinstance(x, Graph) else x.part_family,
+    )
+    def test_matches_brute_force_listing(self, base, budget):
+        # the sizes search_blowups lists: a cut vertex takes no size 1
+        cuts = set(cut_vertices(base))
+        sizes = [
+            sorted({c.size for c in candidate_parts(budget) if c.size > 1 or v not in cuts})
+            for v in range(base.n)
+        ]
+        for max_total in (None, 2 * base.n):
+            assert list(_size_orbits(sizes, _moves(base), max_total)) == _brute_force_orbits(
+                base, sizes, max_total
+            )
 
 
 class TestCandidates:
