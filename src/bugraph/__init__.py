@@ -48,11 +48,10 @@ from .graphs import (
 from .search import (
     SearchBudget,
     SearchReport,
-    explore_cut_conjecture,
+    census,
     lemma_grid,
     lemma_table,
     search_blowups,
-    verify_tree_theorem,
 )
 
 __version__ = "0.1.0"
@@ -70,12 +69,12 @@ __all__ = [
     "betweenness_exact",
     "betweenness_oracle",
     "blow_up",
+    "census",
     "decompose_betweenness",
     "delta_extremal",
     "diameter",
     "enumerate_graphs",
     "enumerate_trees",
-    "explore_cut_conjecture",
     "generate",
     "is_betweenness_uniform",
     "is_connected",
@@ -94,5 +93,4 @@ __all__ = [
     "spec_from_json",
     "spec_to_json",
     "star_spec",
-    "verify_tree_theorem",
 ]

@@ -83,10 +83,9 @@ from .search import (
     FAMILY_IK,
     SearchBudget,
     SearchReport,
-    explore_cut_conjecture,
+    census,
     lemma_grid,
     search_blowups,
-    verify_tree_theorem,
 )
 
 __all__ = ["CriterionResult", "run_suite", "CRITERIA"]
@@ -384,14 +383,11 @@ def _c10_tree_sweeps(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
         (6, SearchBudget(part_family=FAMILY_IK, max_part_size=4), "I/K sweep"),
         (5, SearchBudget(part_family=FAMILY_ALL, max_part_size=3), "all-parts sweep"),
     ):
-        for tr in verify_tree_theorem(n_max, budget, jobs=jobs):
-            if tr.status == "construction":
-                reg.add_uniform(blow_up(tr.construction).graph, "tree construction")
-            elif tr.status == "searched":
-                fault = _record_search(reg, f"tree {serialize_graph6(tr.tree)} {sweep}", tr.search)
-                if fault:
-                    return False, fault
-                searched += 1
+        for report in census("trees", n_max, budget, jobs=jobs):
+            fault = _record_search(reg, f"tree {serialize_graph6(report.base)} {sweep}", report)
+            if fault:
+                return False, fault
+            searched += 1
     return True, (
         f"{searched} exhaustive tree-base searches all empty "
         "(long trees <= 6 with I/K parts <= 4; <= 5 with arbitrary parts <= 3)"
@@ -400,7 +396,7 @@ def _c10_tree_sweeps(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
 
 def _c12_cut_conjecture(reg: _Registry, level: str, jobs: int) -> tuple[bool, str]:
     budget = SearchBudget(part_family=FAMILY_IK, max_part_size=4)
-    reports = explore_cut_conjecture(5, budget, jobs=jobs)
+    reports = census("cut-vertex", 5, budget, jobs=jobs)
     hits = []
     for report in reports:
         _record_search(reg, f"cut-vertex base {serialize_graph6(report.base)}", report)

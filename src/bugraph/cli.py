@@ -53,10 +53,9 @@ from .graphs import (
 from .search import (
     _LEMMA_WINNERS,
     SearchBudget,
-    explore_cut_conjecture,
+    census,
     lemma_grid,
     search_blowups,
-    verify_tree_theorem,
 )
 
 __all__ = ["main", "console_main"]
@@ -275,37 +274,14 @@ def _report_json(report) -> dict:
     }
 
 
-def _tree_record(r) -> dict:
-    rec = {
-        "base": serialize_graph6(r.tree),
-        "n": r.tree.n,
-        "diameter": r.diameter,
-        "status": r.status,
-    }
-    if r.status == "searched":
-        rec["search"] = _report_json(r.search)
-    elif r.status == "construction":
-        rec["spec"] = spec_to_json(r.construction)
-        rec["common"] = str(r.construction_value)
-    return rec
-
-
 def _cmd_census(args) -> int:
     budget = _budget(args)
     try:
-        if args.kind == "trees":
-            trees = verify_tree_theorem(args.n_max, budget, jobs=args.jobs)
-            records = [_tree_record(r) for r in trees]
-            searches = [r.search for r in trees if r.status == "searched"]
-        else:
-            searches = explore_cut_conjecture(args.n_max, budget, jobs=args.jobs)
-            records = [
-                {"base": serialize_graph6(r.base), "search": _report_json(r)} for r in searches
-            ]
+        searches = census(args.kind, args.n_max, budget, jobs=args.jobs)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    for rec in records:
-        print(json.dumps(rec))
+    for r in searches:
+        print(json.dumps({"base": serialize_graph6(r.base), "search": _report_json(r)}))
     hits = [s.label() for r in searches for s in r.found]
     if hits:
         print(f"COUNTEREXAMPLES: {', '.join(hits)}", file=sys.stderr)
@@ -427,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("trees", "cut-vertex"))
     p.add_argument(
         "--n-max", required=True, type=int,
-        help="largest base size (trees <= 7, cut-vertex <= 6)",
+        help="largest base size (<= 7)",
     )
     _add_budget_args(p)
     p.set_defaults(func=_cmd_census)

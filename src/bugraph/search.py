@@ -59,17 +59,15 @@ from .blowup import (
     blow_up,
     geodesic_plan,
 )
-from .constructions import p2_clique_spec, star_spec
 from .graphs import (
+    GRAPH_ENUM_CAP,
     Graph,
     automorphisms,
     cut_vertices,
     diameter,
     enumerate_graphs,
-    enumerate_trees,
     generate,
     is_connected,
-    is_isomorphic,
     orbit,
 )
 
@@ -78,13 +76,11 @@ __all__ = [
     "FAMILY_IK",
     "SearchBudget",
     "SearchReport",
-    "TreeBlowupReport",
     "candidate_parts",
-    "explore_cut_conjecture",
+    "census",
     "lemma_grid",
     "lemma_table",
     "search_blowups",
-    "verify_tree_theorem",
 ]
 
 FAMILY_IK = "ik"
@@ -92,8 +88,6 @@ FAMILY_ALL = "all"
 
 _ALL_FAMILY_SIZE_CAP = 5
 _LEMMA_SIZE_CAP = 5
-_TREE_THEOREM_CAP = 7
-_CUT_CONJECTURE_CAP = 6
 # orbits per pool task, at most: what the pool holds at once stays small
 _POOL_SLICE_CAP = 1024
 
@@ -432,85 +426,32 @@ def lemma_grid(slot: str, m: int, grid_max: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# structured sweeps
+# the census: one exhaustive search per small base
 
 
-class TreeBlowupReport(
-    namedtuple(
-        "TreeBlowupReport",
-        "tree diameter status search construction construction_value",
-        defaults=(None, None, None),
-    )
-):
-    """Verdict for one tree base: searched empty, or a known construction.
+def census(kind: str, n_max: int, budget: SearchBudget, *, jobs: int = 1) -> list[SearchReport]:
+    """Search every base of ``kind`` on up to ``n_max`` vertices.
 
-    ``status`` is "searched", "construction" or "too_small".
+    The bases are the classes of ``enumerate_graphs`` that are
+    connected, have a cut vertex and have diameter >= 3, in its order;
+    ``"trees"`` keeps those with n - 1 edges.  Every tree on three or
+    more vertices has a cut vertex, so these are all the trees of
+    diameter >= 3, and an empty ``found`` on each is the paper's theorem
+    within the budget.  A non-empty ``found`` on any base would be a
+    counterexample to the expectation that no cut-vertex base has a
+    uniform blow-up.
     """
-
-    __slots__ = ()
-
-
-def verify_tree_theorem(
-    n_max: int, budget: SearchBudget, *, jobs: int = 1
-) -> list[TreeBlowupReport]:
-    """Classify every tree on up to n_max vertices.
-
-    Diameter >= 3 trees get an exhaustive in-budget search (expected
-    empty); smaller-diameter trees get an explicit uniform blow-up.
-    The single-vertex tree is too small to be a base.
-    """
-    if type(n_max) is not int:
-        raise ValueError(f"tree sweep needs an integer n_max, not {n_max!r}")
-    if not (1 <= n_max <= _TREE_THEOREM_CAP):
-        raise ValueError(f"tree sweep supports 1 <= n_max <= {_TREE_THEOREM_CAP}")
-    out: list[TreeBlowupReport] = []
-    for n in range(1, n_max + 1):
-        for tree in enumerate_trees(n):
-            if n == 1:
-                out.append(TreeBlowupReport(tree=tree, diameter=0, status="too_small"))
-                continue
-            diam = diameter(tree)
-            if diam >= 3:
-                report = search_blowups(tree, budget, jobs=jobs)
-                out.append(
-                    TreeBlowupReport(
-                        tree=tree, diameter=diam, status="searched", search=report
-                    )
-                )
-                continue
-            spec = p2_clique_spec(2) if n == 2 else star_spec((1,) * (n - 1))
-            if not is_isomorphic(spec.base, tree):
-                raise AssertionError("construction base does not match the tree")
-            bg = blow_up(spec)
-            uni = profile_uniformity(betweenness_exact(bg.graph))
-            if not uni.uniform:
-                raise AssertionError(f"stock construction failed for {spec.label()}")
-            out.append(
-                TreeBlowupReport(
-                    tree=tree,
-                    diameter=diam,
-                    status="construction",
-                    construction=spec,
-                    construction_value=uni.common,
-                )
-            )
-    return out
-
-
-def explore_cut_conjecture(
-    n_max: int, budget: SearchBudget, *, jobs: int = 1
-) -> list[SearchReport]:
-    """Search every connected base with a cut vertex and diameter >= 3
-    on up to n_max vertices.  A non-empty ``found`` would be a
-    counterexample to the expectation that no such base has a uniform
-    blow-up."""
-    if type(n_max) is not int:
-        raise ValueError(f"cut-vertex sweep needs an integer n_max, not {n_max!r}")
-    if not (2 <= n_max <= _CUT_CONJECTURE_CAP):
-        raise ValueError(f"cut-vertex sweep supports 2 <= n_max <= {_CUT_CONJECTURE_CAP}")
+    if kind not in ("trees", "cut-vertex"):
+        raise ValueError(f"unknown census kind {kind!r}")
+    # type(), not isinstance(): True must not pass for 1
+    if type(n_max) is not int or not 1 <= n_max <= GRAPH_ENUM_CAP:
+        raise ValueError(f"census needs an integer 1 <= n_max <= {GRAPH_ENUM_CAP}, not {n_max!r}")
     return [
         search_blowups(g, budget, jobs=jobs)
-        for n in range(2, n_max + 1)
+        for n in range(1, n_max + 1)
         for g in enumerate_graphs(n)
-        if is_connected(g) and cut_vertices(g) and diameter(g) >= 3
+        if (kind == "cut-vertex" or g.edge_count == n - 1)
+        and is_connected(g)
+        and cut_vertices(g)
+        and diameter(g) >= 3
     ]

@@ -418,19 +418,17 @@ class TestSearchClaimFailures:
 
     @staticmethod
     def _spoil_sweep(monkeypatch, family, index, **change) -> None:
-        # the index-th searched tree of the sweep over ``family`` parts
-        # gets its search report changed
-        real = acceptance.verify_tree_theorem
+        # the index-th tree of the sweep over ``family`` parts gets its
+        # search report changed
+        real = acceptance.census
 
-        def spoiled(n_max, budget, jobs=1):
-            out = real(n_max, budget, jobs=jobs)
+        def spoiled(kind, n_max, budget, jobs=1):
+            out = real(kind, n_max, budget, jobs=jobs)
             if budget.part_family == family:
-                searched = [i for i, tr in enumerate(out) if tr.status == "searched"]
-                i = searched[index]
-                out[i] = out[i]._replace(search=out[i].search._replace(**change))
+                out[index] = out[index]._replace(**change)
             return out
 
-        monkeypatch.setattr(acceptance, "verify_tree_theorem", spoiled)
+        monkeypatch.setattr(acceptance, "census", spoiled)
 
     def test_criterion_10_ik_sweep(self, monkeypatch):
         self._spoil_sweep(monkeypatch, FAMILY_IK, 1, exhausted=False)
@@ -477,14 +475,14 @@ class TestOtherCriterionFailures:
 
     @staticmethod
     def _spoil_cut_sweep(monkeypatch, index, **change) -> None:
-        real = acceptance.explore_cut_conjecture
+        real = acceptance.census
 
-        def spoiled(n_max, budget, jobs=1):
-            out = real(n_max, budget, jobs=jobs)
+        def spoiled(kind, n_max, budget, jobs=1):
+            out = real(kind, n_max, budget, jobs=jobs)
             out[index] = out[index]._replace(**change)
             return out
 
-        monkeypatch.setattr(acceptance, "explore_cut_conjecture", spoiled)
+        monkeypatch.setattr(acceptance, "census", spoiled)
 
     def test_criterion_12_unexhausted_search(self, monkeypatch):
         self._spoil_cut_sweep(monkeypatch, 1, exhausted=False)

@@ -349,15 +349,23 @@ class TestConstruct:
         assert obj["verification"]["uniform"] is True
 
     def test_p2(self, capsys):
-        code, out, _ = run(capsys, "construct", "p2", "3")
-        obj = json.loads(out)
-        assert obj["verification"] == {"uniform": True, "common": "0"}
+        # p2 2 is the edge's uniform blow-up K_4
+        for m in ("3", "2"):
+            code, out, _ = run(capsys, "construct", "p2", m)
+            obj = json.loads(out)
+            assert obj["verification"] == {"uniform": True, "common": "0"}
 
     def test_star(self, capsys):
         code, out, _ = run(capsys, "construct", "star", "1", "2", "3")
         obj = json.loads(out)
         assert obj["spec"]["parts"][-1] == {"kind": "I", "size": 6}
         assert obj["verification"]["uniform"] is True
+        # unit leaves: the k-leaf star's uniform blow-up, at (k - 1)/2
+        for k in range(1, 7):
+            code, out, _ = run(capsys, "construct", "star", *["1"] * k)
+            obj = json.loads(out)
+            assert obj["spec"]["parts"][-1] == {"kind": "I", "size": k}
+            assert obj["verification"] == {"uniform": True, "common": str(Fraction(k - 1, 2))}
 
     def test_p4_reports_non_uniform(self, capsys):
         for sizes in ((2, 2, 2, 2), (1, 2, 2, 1)):
@@ -492,17 +500,10 @@ class TestCensus:
         code, out, err = serial
         assert code == 0
         records = [json.loads(line) for line in out.splitlines()]
-        assert [r["n"] for r in records] == [1, 2, 3, 4, 4, 5, 5, 5]
-        by_status = {}
-        for r in records:
-            by_status.setdefault(r["status"], []).append(r)
         # canonical graph6, as enumerated: CL is the 4-path
-        assert [r["base"] for r in by_status["searched"]] == ["CL", "DC[", "DKK"]
-        assert all(r["search"]["exhausted"] and not r["search"]["found"]
-                   for r in by_status["searched"])
-        star = by_status["construction"][-1]
-        assert star["spec"]["parts"][-1] == {"kind": "I", "size": 4}
-        assert star["common"] == "3/2"
+        assert [r["base"] for r in records] == ["CL", "DC[", "DKK"]
+        assert all(list(r) == ["base", "search"] for r in records)
+        assert all(r["search"]["exhausted"] and not r["search"]["found"] for r in records)
         assert err == "# no uniform blow-ups over 3 bases; every search exhausted\n"
 
     def test_cut_vertex(self, capsys):
@@ -516,13 +517,15 @@ class TestCensus:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("cut-vertex", "--n-max", "7"),
+            ("cut-vertex", "--n-max", "8"),
             ("trees", "--n-max", "8"),
             ("trees", "--n-max", "4", "--max-size", "0"),
             ("trees", "--n-max", "4", "--family", "all", "--max-size", "6"),
             ("trees", "--n-max", "4", "--time-limit", "-1"),
             ("trees", "--n-max", "4", "--jobs", "0"),
             ("trees", "--n-max", "4", "--time-limit", "inf"),
+            ("cut-vertex", "--n-max", "0"),
+            ("trees", "--n-max", "0"),
         ],
     )
     def test_out_of_range_is_bad_input(self, capsys, argv):
@@ -535,10 +538,10 @@ class TestCensus:
         # expectation, and census names every such spec on stderr
         hits = [p4_mixed_spec(1, 2, 2, 1), p4_mixed_spec(2, 1, 1, 2)]
 
-        def found(n_max, budget, jobs=1):
+        def found(kind, n_max, budget, jobs=1):
             return [SearchReport(generate("path", 4), budget, hits, True, 7)]
 
-        monkeypatch.setattr(cli, "explore_cut_conjecture", found)
+        monkeypatch.setattr(cli, "census", found)
         code, out, err = run(capsys, "census", "cut-vertex", "--n-max", "4", "--max-size", "2")
         assert code == 0
         (record,) = [json.loads(line) for line in out.splitlines()]

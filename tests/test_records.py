@@ -19,7 +19,7 @@ from bugraph.blowup import (
 )
 from bugraph.constructions import P4InfeasibilityReport, P4SizeTuple
 from bugraph.graphs import Graph, generate
-from bugraph.search import SearchBudget, SearchReport, TreeBlowupReport
+from bugraph.search import SearchBudget, SearchReport
 
 P3 = generate("path", 3)
 I2 = PartDescriptor("I", 2)
@@ -56,17 +56,6 @@ RECORDS = [
         {"base": P3, "budget": BUDGET, "found": [SPEC], "exhausted": True, "specs_examined": 7},
     ),
     (
-        TreeBlowupReport,
-        {
-            "tree": P3,
-            "diameter": 2,
-            "status": "construction",
-            "search": None,
-            "construction": SPEC,
-            "construction_value": Fraction(1),
-        },
-    ),
-    (
         CriterionResult,
         {"number": 1, "name": "oracle", "passed": True, "detail": "ok", "seconds": 0.5},
     ),
@@ -99,8 +88,6 @@ def test_fields_are_read_only(cls, fields):
 def test_defaults():
     assert SearchBudget() == SearchBudget("ik", 4, None, None)
     assert Graph(2).edges == ()
-    report = TreeBlowupReport(tree=Graph(1), diameter=0, status="too_small")
-    assert (report.search, report.construction, report.construction_value) == (None, None, None)
 
 
 def test_explicit_part_takes_its_size_from_its_graph():

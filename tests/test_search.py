@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb
@@ -41,11 +42,10 @@ from bugraph.search import (
     _scan_task,
     _size_orbits,
     candidate_parts,
-    explore_cut_conjecture,
+    census,
     lemma_grid,
     lemma_table,
     search_blowups,
-    verify_tree_theorem,
 )
 
 from test_blowup import blowup_specs
@@ -636,34 +636,47 @@ class TestLemmas:
 
 
 class TestSweeps:
+    # part size 1 leaves every cut vertex without candidates, so each
+    # search is empty and instant, and only the base listing is tested
+    EMPTY = SearchBudget(part_family="ik", max_part_size=1)
+
     def test_tree_theorem_small(self):
-        reports = verify_tree_theorem(4, SearchBudget(part_family="ik", max_part_size=3))
-        by_status = {}
-        for r in reports:
-            by_status.setdefault(r.status, []).append(r)
-        assert len(by_status["too_small"]) == 1
-        assert len(by_status["construction"]) == 3  # K2, path3, 4-star
-        (searched,) = by_status["searched"]
-        assert diameter(searched.tree) == 3
-        assert searched.search.found == [] and searched.search.exhausted
+        (report,) = census("trees", 4, SearchBudget(part_family="ik", max_part_size=3))
+        assert diameter(report.base) == 3
+        assert report.found == [] and report.exhausted
+
+    @pytest.mark.parametrize("kind", ["trees", "cut-vertex"])
+    def test_base_counts(self, kind):
+        want = {"trees": {4: 1, 5: 2, 6: 5, 7: 10}, "cut-vertex": {4: 1, 5: 6, 6: 43, 7: 341}}
+        assert Counter(r.base.n for r in census(kind, 7, self.EMPTY)) == want[kind]
+
+    def test_tree_bases_are_the_long_trees(self):
+        trees = [r.base for r in census("trees", 7, self.EMPTY)]
+        long_trees = [t for n in range(1, 8) for t in enumerate_trees(n) if diameter(t) >= 3]
+        cut = [r.base for r in census("cut-vertex", 7, self.EMPTY)]
+        assert trees == long_trees == [g for g in cut if g.edge_count == g.n - 1]
 
     def test_tree_theorem_cap(self):
-        with pytest.raises(ValueError):
-            verify_tree_theorem(8, SearchBudget())
+        for n_max in (0, 8):
+            with pytest.raises(ValueError, match=r"^census needs an integer 1 <= n_max <= 7, not "):
+                census("trees", n_max, SearchBudget())
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown census kind 'graphs'$"):
+            census("graphs", 4, SearchBudget())
 
     @pytest.mark.parametrize("n_max", [2.0, 2.5, True, "3", None])
     def test_tree_theorem_bound_must_be_an_int(self, n_max):
-        with pytest.raises(ValueError, match="^tree sweep needs an integer n_max, not "):
-            verify_tree_theorem(n_max, SearchBudget(part_family="ik", max_part_size=3))
+        with pytest.raises(ValueError, match=r"^census needs an integer 1 <= n_max <= 7, not "):
+            census("trees", n_max, SearchBudget(part_family="ik", max_part_size=3))
 
     @pytest.mark.parametrize("n_max", [2.0, 2.5, True, "3", None])
     def test_cut_conjecture_bound_must_be_an_int(self, n_max):
-        with pytest.raises(ValueError, match="^cut-vertex sweep needs an integer n_max, not "):
-            explore_cut_conjecture(n_max, SearchBudget(part_family="ik", max_part_size=3))
+        with pytest.raises(ValueError, match=r"^census needs an integer 1 <= n_max <= 7, not "):
+            census("cut-vertex", n_max, SearchBudget(part_family="ik", max_part_size=3))
 
     def test_cut_conjecture_smallest(self):
-        reports = explore_cut_conjecture(4, SearchBudget(part_family="ik", max_part_size=3))
+        reports = census("cut-vertex", 4, SearchBudget(part_family="ik", max_part_size=3))
         assert len(reports) == 1  # only the 4-path qualifies
         assert is_isomorphic(reports[0].base, generate("path", 4))
         assert reports[0].found == []
-
