@@ -8,8 +8,15 @@ part sizes, one ``GeodesicPlan.numerators`` call on the base's plan
 takes every candidate of those sizes and returns one common
 denominator, the numerators of every part's global share, and each
 candidate's numerators of the shares inside parts.  The blow-up is
-uniform iff every vertex gets the same numerator; the screen stops at
-the first part that differs.
+uniform iff every vertex gets the same numerator.  The screen first
+drops each candidate whose own numerators differ, then assigns the
+base vertices in BFS order from vertex 0 and abandons a branch as soon
+as a *closed* vertex, one assigned together with all of its neighbors,
+gets a value other than the vertices closed before it (forward
+checking, as in Haralick and Elliott, "Increasing tree search
+efficiency for constraint satisfaction problems", 1980).  Every
+assignment a dropped candidate or an abandoned branch rules out still
+counts as decided.
 
 Symmetry: an automorphism pi of the base maps an assignment A to
 A o pi, which is uniform iff A is, with an isomorphic blow-up, and it
@@ -17,9 +24,9 @@ maps the candidate lists onto themselves.  So the search lists one size
 tuple per orbit of Aut(base), its least member, with the orbit's size
 as its weight; the listing holds nothing between tuples, so every base
 is reduced.  A scan task makes one ``numerators`` call per listed size
-tuple and screens every assignment of the tuple's candidates, so I_m
+tuple and decides every assignment of the tuple's candidates, so I_m
 and K_m candidates, and all explicit classes of one size, share one
-plan run.  Each screened assignment counts as ``weight`` examined
+plan run.  Each decided assignment counts as ``weight`` examined
 specs, and a task returns its hits as bare tuples of candidate indices.
 Only ``search_blowups`` knows the group: it verifies one hit per orbit,
 twice over, with the two independent betweenness algorithms on the
@@ -203,17 +210,49 @@ def _size_orbits(sizes, moves, max_total):
 def _scan_task(args) -> tuple[int, list[tuple[int, ...]], bool]:
     """Screen the size tuples ``reps`` lists.
 
-    ``args`` is ``(base, cand_lists, reps, deadline)``: ``reps`` yields
-    ``(sizes, weight)`` pairs.  Each tuple gets one ``numerators`` call,
-    and every assignment of its candidates is screened: it is uniform
-    iff every vertex of its blow-up gets the same numerator over the
-    tuple's common denominator.  Each screened assignment adds
-    ``weight`` to the examined count.  A hit is the tuple of its
-    candidates' indices in ``cand_lists``, in screening order.
+    ``args`` is ``(base, cand_lists, reps, deadline)``: ``base`` is
+    connected and ``reps`` yields ``(sizes, weight)`` pairs.  Each tuple
+    gets one ``numerators`` call.  An assignment of its candidates is
+    uniform iff every vertex of its blow-up gets the same numerator over
+    the tuple's common denominator, which the screen decides in two
+    steps:
+
+    - the filter drops from each row every candidate whose own
+      numerators differ, as no assignment with it is uniform;
+    - the walk assigns the base vertices in BFS order from vertex 0.
+      Base vertex k is *closed* once it and all of its neighbors are
+      assigned, and its value ``glob[k] + own[k] + sum(nbr[j] for j in
+      adj[k])`` is fixed then; the walk abandons a branch at the first
+      closed value that differs from the common value of the vertices
+      closed before it.
+
+    Each assignment decided adds ``weight`` to the examined count: a
+    node of the walk adds those under its dropped and rejected
+    candidates, and a leaf, which is a hit, its own, so a finished tuple
+    adds ``weight`` times the product of its row lengths.  The deadline
+    is checked at every node, so a partial count is a true one too.  A
+    hit is the tuple of its candidates' indices in ``cand_lists``,
+    indexed by base vertex.
     """
     base, cand_lists, reps, deadline = args
     plan = geodesic_plan(base)
     adj = base.adjacency
+    order = [0]
+    for v in order:
+        order += [u for u in adj[v] if u not in order]
+    last = len(order) - 1
+    level = {v: i for i, v in enumerate(order)}
+    # vertex k closes at the level of the last of k and its neighbors to
+    # be assigned: closes_self[i] when that is order[i] itself, and
+    # otherwise closes_nbr[i] holds (k, k's other neighbors)
+    closes_self = [False] * len(order)
+    closes_nbr: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]
+    for k, nbrs in enumerate(adj):
+        i = max(level[k], *map(level.__getitem__, nbrs))
+        if order[i] == k:
+            closes_self[i] = True
+        else:
+            closes_nbr[i].append((k, tuple(j for j in nbrs if j != order[i])))
     # slots[j][s]: vertex j's candidates of size s, each with its index
     # in cand_lists[j]
     slots = []
@@ -222,39 +261,79 @@ def _scan_task(args) -> tuple[int, list[tuple[int, ...]], bool]:
         for ci, cand in enumerate(cands):
             slot.setdefault(cand.size, []).append((ci, cand))
         slots.append(slot)
+    # at[v]: the row entry assigned to v so far
+    at: list = [None] * len(order)
     examined = 0
     hits: list[tuple[int, ...]] = []
+
+    def walk(i, common, space):
+        # every assignment that extends the one on order[:i], which
+        # stands for ``space`` specs; ``common`` is the value of the
+        # vertices closed so far, None before the first closes.  False
+        # once the deadline has passed
+        nonlocal examined
+        if deadline is not None and time.monotonic() > deadline:
+            return False
+        v = order[i]
+        row = rows[v]
+        width = len(groups[v])
+        step = space // width
+        # every neighbor of v that closes here gains v's neighbor
+        # numerator, so they must agree before it is added
+        pn = None
+        for k, rest in closes_nbr[i]:
+            p = glob[k] + at[k][1]
+            for j in rest:
+                p += at[j][0]
+            if pn is None:
+                pn = p
+            elif p != pn:
+                examined += space
+                return True
+        po = None
+        if closes_self[i]:
+            po = glob[v]
+            for j in adj[v]:
+                po += at[j][0]
+        examined += (width - len(row)) * step
+        for c in row:
+            t = common
+            if pn is not None:
+                if t is None:
+                    t = pn + c[0]
+                elif pn + c[0] != t:
+                    examined += step
+                    continue
+            if po is not None:
+                if t is None:
+                    t = po + c[1]
+                elif po + c[1] != t:
+                    examined += step
+                    continue
+            at[v] = c
+            if i == last:
+                examined += step
+                hits.append(tuple([a[2] for a in at]))
+            elif not walk(i + 1, t, step):
+                return False
+        return True
+
     for sizes, weight in reps:
         groups = [slot[s] for slot, s in zip(slots, sizes)]
         _, glob, local = plan.numerators([[cand for _, cand in g] for g in groups])
         # per candidate: neighbor numerator, the own numerator every
-        # vertex of the part shares (None when they differ), and its
-        # index in cand_lists
+        # vertex of the part shares, and its index in cand_lists; the
+        # filter drops the candidates whose own numerators differ
         rows = [
             [
-                (nbr, 0 if own is None else own[0] if len(set(own)) == 1 else None, ci)
+                (nbr, 0 if own is None else own[0], ci)
                 for (ci, _), (nbr, own) in zip(group, cands)
+                if own is None or len(set(own)) == 1
             ]
             for group, cands in zip(groups, local)
         ]
-        for combo in product(*rows):
-            if deadline is not None and time.monotonic() > deadline:
-                return examined, hits, False
-            examined += weight
-            common = None
-            for k, value in enumerate(glob):
-                own = combo[k][1]
-                if own is None:
-                    break
-                value += own
-                for j in adj[k]:
-                    value += combo[j][0]
-                if common is None:
-                    common = value
-                elif value != common:
-                    break
-            else:
-                hits.append(tuple(c[2] for c in combo))
+        if not walk(0, None, weight * prod(map(len, groups))):
+            return examined, hits, False
     return examined, hits, True
 
 
@@ -292,13 +371,16 @@ def _run_pool(tasks, jobs: int, deadline: float | None) -> tuple[list, bool]:
 def search_blowups(base: Graph, budget: SearchBudget, *, jobs: int = 1) -> SearchReport:
     """Test every in-budget part assignment on ``base`` for uniformity.
 
-    ``specs_examined`` counts the assignments decided: those screened,
-    and those decided with them by symmetry, one per screened assignment
-    in every other size tuple of its size tuple's orbit under Aut(base).
-    Pruned and over-size assignments are outside the budgeted space.  A
-    finished search has decided every assignment in the space exactly
-    once.  ``exhausted`` is True iff the whole space was covered, so an
-    empty ``found`` with ``exhausted=True`` is a proof within the budget.
+    ``specs_examined`` counts the assignments decided: those the screen
+    decides, whether it reaches them or rules them out by a dropped
+    candidate or an abandoned branch, and those decided with them by
+    symmetry, one per screened assignment in every other size tuple of
+    its size tuple's orbit under Aut(base).  Assignments with a size-1
+    part on a cut vertex, and over-size ones, are outside the budgeted
+    space.  A finished search has decided every assignment in the space
+    exactly once.  ``exhausted`` is True iff the whole space was covered,
+    so an empty ``found`` with ``exhausted=True`` is a proof within the
+    budget.
     ``found`` lists every hit in assignment order; one per orbit of
     Aut(base) is verified, as its images have isomorphic blow-ups.
     """

@@ -6,7 +6,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb
+from math import comb, inf, prod
 from operator import itemgetter
 
 import pytest
@@ -166,15 +166,64 @@ class TestScreen:
         assert _scan_task((base, cand_lists, [], None)) == (0, [], True)
 
     def test_deadline_inside_one_size_tuple(self):
-        # the 34 classes on five vertices at every vertex of the 5-cycle:
-        # one size tuple of 34**5 assignments, which must still stop on time
+        # the 34 classes on five vertices at every vertex of K_7: one size
+        # tuple of 34**7 assignments, where no vertex closes before the
+        # last one is assigned, so it must still stop on time
         cands = tuple(PartDescriptor.for_graph(h) for h in enumerate_graphs(5))
         assert len(cands) == 34
-        base = generate("cycle", 5)
-        reps = [((5,) * 5, 1)]
-        job = (base, (cands,) * 5, reps, time.monotonic() + 0.2)
+        base = generate("complete", 7)
+        reps = [((5,) * 7, 1)]
+        job = (base, (cands,) * 7, reps, time.monotonic() + 0.05)
         examined, _, completed = _scan_task(job)
-        assert not completed and examined < 34**5
+        assert not completed and 0 < examined < 34**7
+
+    def test_deadline_counts_only_decided_specs(self, monkeypatch):
+        # a clock that passes the deadline at its (k + 1)-th reading: the
+        # partial count grows with k, the partial hits are full-run hits,
+        # and once k passes the node count the tuple is finished
+        cands = tuple(PartDescriptor.for_graph(h) for h in enumerate_graphs(5))
+        job = (generate("complete", 3), (cands,) * 3, [((5,) * 3, 1)], 1.0)
+        readings = []
+
+        def clock(k):
+            def monotonic():
+                readings.append(None)
+                return 0.0 if len(readings) <= k else 2.0
+
+            readings.clear()
+            monkeypatch.setattr(bugraph.search.time, "monotonic", monotonic)
+
+        clock(inf)
+        examined, full, completed = _scan_task(job)
+        nodes = len(readings)
+        assert completed and examined == 34**3 and full
+        counts = []
+        for k in range(nodes + 2):
+            clock(k)
+            examined, hits, completed = _scan_task(job)
+            assert completed == (k >= nodes)
+            assert set(hits) <= set(full)
+            counts.append(examined)
+        assert counts == sorted(counts)
+        assert counts[0] == 0 and counts[nodes - 1] < 34**3 == counts[nodes]
+
+    # bases whose BFS order from vertex 0 closes vertices at different
+    # levels: the 4-cycle closes three at its last level, the paw two at
+    # each of its last two, the path and the claw one at each level
+    # before the last; the size-3 parts include the path P3, whose own
+    # numerators differ, so the filter drops candidates too
+    @pytest.mark.parametrize("graph6", ["Cl", "Ch", "CF", "Cx"], ids=["C4", "P4", "claw", "paw"])
+    def test_matches_brute_force_on_every_size_tuple(self, graph6):
+        base = parse_graph6(graph6)
+        cands = candidate_parts(SearchBudget(part_family="all", max_part_size=3))
+        cand_lists = (cands,) * base.n
+        want: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for hit in _uniform_assignments(base, cand_lists):
+            want.setdefault(tuple(cands[i].size for i in hit), []).append(hit)
+        for sizes, _ in _every_tuple(cand_lists):
+            examined, found, completed = _scan_task((base, cand_lists, [(sizes, 3)], None))
+            assert completed and sorted(found) == want.get(sizes, [])
+            assert examined == 3 * prod(sum(c.size == s for c in cands) for s in sizes)
 
     def test_large_parts_on_long_path(self):
         # 40**12 geodesics join two vertices of the end parts, past any
@@ -490,6 +539,40 @@ class TestSearch:
             assert r.exhausted
             assert (r.specs_examined, len(r.found)) == (examined, hits)
         assert r1 == r2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cycle5_explicit_parts_to_five(self, jobs):
+        # 52**5 specs over every class on at most five vertices; the hit
+        # labels are those the unpruned screen reported
+        rep = search_blowups(parse_graph6("Dhc"), SearchBudget("all", 5), jobs=jobs)
+        assert rep.exhausted and rep.specs_examined == 380_204_032
+        assert [s.label() for s in rep.found] == [
+            "Dhc[I1,I1,I1,I1,I1]",
+            "Dhc[I2,I2,I2,I2,I2]",
+            "Dhc[K2,K2,K2,K2,K2]",
+            "Dhc[I3,I3,I3,I3,I3]",
+            "Dhc[X(BG),X(BG),X(BG),X(BG),X(BG)]",
+            "Dhc[K3,K3,K3,K3,K3]",
+            "Dhc[I4,I4,I4,I4,I4]",
+            "Dhc[X(C@),X(C@),X(C@),X(C@),X(C@)]",
+            "Dhc[X(CJ),X(CJ),X(CJ),X(CJ),X(CJ)]",
+            "Dhc[X(CK),X(CK),X(CK),X(CK),X(CK)]",
+            "Dhc[X(C]),X(C]),X(C]),X(C]),X(C])]",
+            "Dhc[K4,K4,K4,K4,K4]",
+            "Dhc[K4,K4,K5,I5,K5]",
+            "Dhc[K4,K5,I5,K5,K4]",
+            "Dhc[I5,I5,I5,I5,I5]",
+            "Dhc[I5,K5,K4,K4,K5]",
+            "Dhc[X(D?C),X(D?C),X(D?C),X(D?C),X(D?C)]",
+            "Dhc[X(D@K),X(D@K),X(D@K),X(D@K),X(D@K)]",
+            "Dhc[X(D@O),X(D@O),X(D@O),X(D@O),X(D@O)]",
+            "Dhc[X(DJ[),X(DJ[),X(DJ[),X(DJ[),X(DJ[)]",
+            "Dhc[X(DLo),X(DLo),X(DLo),X(DLo),X(DLo)]",
+            "Dhc[X(D`K),X(D`K),X(D`K),X(D`K),X(D`K)]",
+            "Dhc[K5,K4,K4,K5,I5]",
+            "Dhc[K5,I5,K5,K4,K4]",
+            "Dhc[K5,K5,K5,K5,K5]",
+        ]
 
     def test_time_limit_partial(self):
         # through the pool too, where the deadline passes before any
