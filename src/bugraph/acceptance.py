@@ -59,7 +59,7 @@ from .blowup import (
     PartDescriptor,
     _decomposition_numerators,
     _part_numerators,
-    _spec_numerators,
+    _specs_numerators,
     blow_up,
 )
 from .constructions import (
@@ -257,10 +257,11 @@ def _corpus_specs() -> list[BlowupSpec]:
 def _corpus_pass() -> tuple[tuple[bool, str], tuple[bool, str]]:
     """The verdicts of criteria 6 and 7, from one pass over the corpus.
 
-    Per spec: one ``blow_up``, one exact profile, one closed form
-    (``_spec_numerators``) and one per-pair oracle split, read by both
-    checks.  Each is a list of integer numerators over its own
-    denominator, and the checks compare them by cross-multiplication:
+    Per spec: one ``blow_up``, one exact profile, one closed form and
+    one per-pair oracle split, read by both checks; the closed forms
+    come from ``_specs_numerators``, one batch per corpus base.  Each
+    is a list of integer numerators over its own denominator, and the
+    checks compare them by cross-multiplication:
     the closed form's per-vertex sums and the oracle's decomposition
     totals against the exact profile (criterion 6), and the closed
     form's global, neighbor and own shares against the oracle's
@@ -272,11 +273,12 @@ def _corpus_pass() -> tuple[tuple[bool, str], tuple[bool, str]]:
     """
     c6 = c7 = None  # first failure message of each
     vertices = 0
-    for spec in _corpus_specs():
+    specs = _corpus_specs()
+    for spec, numerators in zip(specs, _specs_numerators(specs)):
         bg = blow_up(spec)
         vertices += bg.graph.n
         den, profile = _exact_numerators(bg.graph)
-        numerators = d, glob, local = _spec_numerators(spec)
+        d, glob, local = numerators
         if c6 is None:
             values = [x for vals in _part_numerators(spec, numerators) for x in vals]
             if not _same_values(d, values, den, profile):

@@ -16,17 +16,24 @@ three shares from the base graph and the parts alone, without
 building the blow-up.  Its size-independent half is a
 ``GeodesicPlan``, built once per base graph: BFS orders with
 predecessor lists, and for each base vertex the pairs whose geodesics
-pass through it.  Given candidate parts of one size per base vertex,
-``GeodesicPlan.numerators`` returns one common denominator d and the
-integer numerators over d of every part's global share and of each
-candidate's shares inside parts.  The search screen compares these
-integers directly.  The leaf-part ratio of ``delta_extremal`` is one
-``Fraction`` of two sums of them, as d cancels; it passes one
-candidate per vertex, while ``search.lemma_table`` passes every graph
-class in one slot and reads each class's ratio from the same call.
-``shares_by_part`` is the ``Fraction`` view of the one-candidate call
-(``_spec_numerators``), and ``bugraph decompose`` prints one part's
-entry; ``_part_numerators`` sums its shares per vertex, in integers.
+pass through it.  ``GeodesicPlan.numerators`` takes a batch of
+entries, each giving candidate parts of one size per base vertex, and
+returns for each entry one common denominator d and the integer
+numerators over d of every part's global share and of each
+candidate's shares inside parts.  It runs the size-dependent half
+column by column, one list per quantity over the whole batch, so the
+interpreter's overhead per operation is paid once per batch.  The
+search screen compares these integers directly, one batch per chunk
+of size tuples.  The leaf-part ratio of ``delta_extremal`` is one
+``Fraction`` of two sums of them, as d cancels; it passes one entry
+with one candidate per vertex, while ``search.lemma_grid`` passes one
+entry per context, with every graph class in one slot, and reads each
+class's ratio from the same call.  ``shares_by_part`` is the
+``Fraction`` view of the one-candidate entry (``_spec_numerators``),
+and ``bugraph decompose`` prints one part's entry;
+``_part_numerators`` sums its shares per vertex, in integers.
+``_specs_numerators`` batches many specs, one call per base, for the
+acceptance corpus.
 ``blow_up`` writes each edge of the built graph once and valid, so it
 sorts them and skips ``Graph``'s validation.
 ``decompose_betweenness`` is only the reference: it reads the same
@@ -45,6 +52,7 @@ from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from operator import add, floordiv, mul
 
 from .betweenness import _split_numerators
 from .graphs import Graph, parse_graph6, serialize_graph6
@@ -299,11 +307,12 @@ class GeodesicPlan:
             for k in range(n)
         )
 
-    def numerators(self, slots) -> tuple[int, list[int], list[list[tuple]]]:
-        """The closed form in integers, for several candidate parts at once.
+    def numerators(self, batch) -> list[tuple[int, list[int], list[list[tuple]]]]:
+        """The closed form in integers, for a batch of size tuples at once.
 
-        ``slots[j]`` lists candidate parts for base vertex j, all of one
-        size s_j.  Returns ``(d, glob, local)``: part k's global share is
+        Each entry of ``batch`` is a list of slots: ``slots[j]`` lists
+        candidate parts for base vertex j, all of one size s_j.  Returns
+        one ``(d, glob, local)`` per entry: part k's global share is
         ``glob[k] / d``, and ``local[j][c]`` holds, over d, the neighbor
         numerator of candidate c of slot j and its own numerators, or
         ``None`` for an I or K part.  With mass(j) the total size of the
@@ -312,33 +321,60 @@ class GeodesicPlan:
         common-neighbor count c of an explicit candidate of slot j, so
         every local share is an integer over d as well.  None of these
         terms grows in number with the size of an I or K part.
+
+        The W recurrence, mass, d and the global numerators run column
+        by column: each quantity is one list over the batch, so the
+        interpreter's cost per operation is paid once per batch.  Only
+        the mass(j) + c terms and the shares inside parts are evaluated
+        entry by entry.
         """
-        n = len(slots)
-        sizes = [slot[0].size for slot in slots]
+        if not batch:
+            return []
+        n = len(self.orders)
+        # cols[v]: the size of part v in each entry
+        cols = list(zip(*[[slot[0].size for slot in slots] for slots in batch]))
+        ones = [1] * len(batch)
         w = []
         for i, order in enumerate(self.orders):
-            wi = [0] * n
-            wi[i] = 1
+            wi = [ones] * n
             # acc[u]: the weight u passes on, W(i, u) times u's own size
-            acc = [0] * n
-            acc[i] = 1
+            acc = [ones] * n
             for v, preds in order:
-                x = 0
-                for u in preds:
-                    x += acc[u]
+                x = acc[preds[0]]
+                for u in preds[1:]:
+                    x = list(map(add, x, acc[u]))
                 wi[v] = x
-                acc[v] = x * sizes[v]
+                acc[v] = list(map(mul, x, cols[v]))
             w.append(wi)
-        mass = [sum(map(sizes.__getitem__, nbrs)) for nbrs in self.adjacency]
+        mass = []
+        for nbrs in self.adjacency:
+            m = cols[nbrs[0]]
+            for u in nbrs[1:]:
+                m = list(map(add, m, cols[u]))
+            mass.append(m)
         far_w = [w[i][j] for i, j in self.far]
-        extra = {m + c for m, slot in zip(mass, slots) for p in slot for c, _ in p._nonedges}
-        d = lcm(*far_w, *mass, *extra)
-        q = [sizes[i] * sizes[j] * (d // wij) for (i, j), wij in zip(self.far, far_w)]
-        glob = [
-            sum(q[p] * w[i][k] * w[k][j] for p, i, j in pairs)
-            for k, pairs in enumerate(self.through)
+        d = list(map(lcm, *far_w, *mass))
+        masses = list(zip(*mass))
+        for e, (slots, me) in enumerate(zip(batch, masses)):
+            extra = {m + c for m, slot in zip(me, slots) for p in slot for c, _ in p._nonedges}
+            if extra:
+                d[e] = lcm(d[e], *extra)
+        q = [
+            list(map(mul, map(mul, cols[i], cols[j]), map(floordiv, d, wij)))
+            for (i, j), wij in zip(self.far, far_w)
         ]
-        return d, glob, [_local_numerators(slot, m, d) for slot, m in zip(slots, mass)]
+        glob = []
+        for k, pairs in enumerate(self.through):
+            g = [0] * len(batch)
+            for p, i, j in pairs:
+                g = list(map(add, g, map(mul, map(mul, q[p], w[i][k]), w[k][j])))
+            glob.append(g)
+        # d // mass(j), one column per base vertex, for the I_m parts
+        per_pair = zip(*[map(floordiv, d, m) for m in mass])
+        return [
+            (de, list(ge), [_local_numerators(*a, de) for a in zip(slots, me, pe)])
+            for slots, de, ge, me, pe in zip(batch, d, zip(*glob), masses, per_pair)
+        ]
 
 
 @lru_cache(maxsize=128)
@@ -347,14 +383,18 @@ def geodesic_plan(base: Graph) -> GeodesicPlan:
     return GeodesicPlan(base)
 
 
-def _local_numerators(slot, mass: int, d: int) -> list[tuple[int, tuple[int, ...] | None]]:
+def _local_numerators(
+    slot, mass: int, per_pair: int, d: int
+) -> list[tuple[int, tuple[int, ...] | None]]:
     """Each part's neighbor share and own shares as numerators over d,
     which ``GeodesicPlan.numerators`` makes a multiple of every
-    denominator; the parts of ``slot`` sit on one base vertex."""
+    denominator; the parts of ``slot`` sit on one base vertex, whose
+    neighbor parts hold ``mass`` vertices, and ``per_pair`` is
+    d // mass, what each pair inside an I part gives."""
     out = []
     for part in slot:
         if part.kind == PART_INDEPENDENT:
-            out.append((part.size * (part.size - 1) // 2 * (d // mass), None))
+            out.append((part.size * (part.size - 1) // 2 * per_pair, None))
         elif part.kind == PART_CLIQUE:
             out.append((0, None))
         else:
@@ -370,12 +410,25 @@ def _local_numerators(slot, mass: int, d: int) -> list[tuple[int, tuple[int, ...
     return out
 
 
+def _specs_numerators(specs) -> list[tuple[int, list[int], list[tuple]]]:
+    """``GeodesicPlan.numerators`` with each spec's parts as its only
+    candidates, one batch per base graph: per spec, in order, d, the
+    global numerators, and each part's (neighbor numerator, own
+    numerators or None)."""
+    by_base: dict[Graph, list[int]] = {}
+    for e, spec in enumerate(specs):
+        by_base.setdefault(spec.base, []).append(e)
+    out: list = [None] * len(specs)
+    for base, entries in by_base.items():
+        batch = [[(p,) for p in specs[e].parts] for e in entries]
+        for e, (d, glob, local) in zip(entries, geodesic_plan(base).numerators(batch)):
+            out[e] = d, glob, [slot[0] for slot in local]
+    return out
+
+
 def _spec_numerators(spec: BlowupSpec) -> tuple[int, list[int], list[tuple]]:
-    """``GeodesicPlan.numerators`` with the spec's parts as the only
-    candidates: d, the global numerators, and each part's (neighbor
-    numerator, own numerators or None)."""
-    d, glob, local = geodesic_plan(spec.base).numerators([(p,) for p in spec.parts])
-    return d, glob, [slot[0] for slot in local]
+    """``_specs_numerators`` of the one spec."""
+    return _specs_numerators([spec])[0]
 
 
 def shares_by_part(
@@ -404,7 +457,8 @@ def shares_by_part(
       ``None`` for I and K parts, whose own share is zero.
 
     This is the ``Fraction`` view of the integer route the search screen
-    uses: ``GeodesicPlan.numerators`` with one candidate per base vertex.
+    uses: ``GeodesicPlan.numerators`` on a batch of one entry, with one
+    candidate per base vertex.
     The work depends on the base and on explicit part graphs, never on
     the sizes of I and K parts; the pairs inside each explicit part are
     listed once per descriptor, for its neighbor and own shares alike.

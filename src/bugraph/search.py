@@ -4,8 +4,8 @@
 base vertices within a budget and tests each blow-up for uniform
 betweenness.  The screen never builds the blown-up graph.  It reads the
 closed form of ``blowup.shares_by_part`` in integers: for a tuple of
-part sizes, one ``GeodesicPlan.numerators`` call on the base's plan
-takes every candidate of those sizes and returns one common
+part sizes, one entry of a ``GeodesicPlan.numerators`` batch on the
+base's plan takes every candidate of those sizes and gets one common
 denominator, the numerators of every part's global share, and each
 candidate's numerators of the shares inside parts.  The blow-up is
 uniform iff every vertex gets the same numerator.  The screen first
@@ -23,11 +23,13 @@ A o pi, which is uniform iff A is, with an isomorphic blow-up, and it
 maps the candidate lists onto themselves.  So the search lists one size
 tuple per orbit of Aut(base), its least member, with the orbit's size
 as its weight; the listing holds nothing between tuples, so every base
-is reduced.  A scan task makes one ``numerators`` call per listed size
-tuple and decides every assignment of the tuple's candidates, so I_m
-and K_m candidates, and all explicit classes of one size, share one
-plan run.  Each decided assignment counts as ``weight`` examined
-specs, and a task returns its hits as bare tuples of candidate indices.
+is reduced.  A scan task makes one ``numerators`` call per chunk of
+at most ``_SCAN_CHUNK`` listed size tuples, which evaluates the closed
+form column by column over them, and decides every assignment of each
+tuple's candidates, so I_m and K_m candidates, and all explicit classes
+of one size, share one entry.  Each decided assignment counts as
+``weight`` examined specs, and a task returns its hits as bare tuples
+of candidate indices.
 Only ``search_blowups`` knows the group: it verifies one hit per orbit,
 twice over, with the two independent betweenness algorithms on the
 built graph, and reports every image in assignment order, last base
@@ -97,6 +99,8 @@ _ALL_FAMILY_SIZE_CAP = 5
 _LEMMA_SIZE_CAP = 5
 # orbits per pool task, at most: what the pool holds at once stays small
 _POOL_SLICE_CAP = 1024
+# size tuples per ``numerators`` batch in a scan task
+_SCAN_CHUNK = 64
 
 
 class SearchBudget(
@@ -211,11 +215,12 @@ def _scan_task(args) -> tuple[int, list[tuple[int, ...]], bool]:
     """Screen the size tuples ``reps`` lists.
 
     ``args`` is ``(base, cand_lists, reps, deadline)``: ``base`` is
-    connected and ``reps`` yields ``(sizes, weight)`` pairs.  Each tuple
-    gets one ``numerators`` call.  An assignment of its candidates is
-    uniform iff every vertex of its blow-up gets the same numerator over
-    the tuple's common denominator, which the screen decides in two
-    steps:
+    connected and ``reps`` yields ``(sizes, weight)`` pairs.  They are
+    read ``_SCAN_CHUNK`` at a time, and each chunk is one ``numerators``
+    batch with one entry per tuple.  An assignment of a tuple's
+    candidates is uniform iff every vertex of its blow-up gets the same
+    numerator over the tuple's common denominator, which the screen
+    decides in two steps:
 
     - the filter drops from each row every candidate whose own
       numerators differ, as no assignment with it is uniform;
@@ -253,13 +258,15 @@ def _scan_task(args) -> tuple[int, list[tuple[int, ...]], bool]:
             closes_self[i] = True
         else:
             closes_nbr[i].append((k, tuple(j for j in nbrs if j != order[i])))
-    # slots[j][s]: vertex j's candidates of size s, each with its index
-    # in cand_lists[j]
+    # slots[j][s]: vertex j's candidates of size s, and their indices in
+    # cand_lists[j]
     slots = []
     for cands in cand_lists:
-        slot: dict[int, list[tuple[int, PartDescriptor]]] = {}
+        slot: dict[int, tuple[list[PartDescriptor], list[int]]] = {}
         for ci, cand in enumerate(cands):
-            slot.setdefault(cand.size, []).append((ci, cand))
+            parts, indices = slot.setdefault(cand.size, ([], []))
+            parts.append(cand)
+            indices.append(ci)
         slots.append(slot)
     # at[v]: the row entry assigned to v so far
     at: list = [None] * len(order)
@@ -276,7 +283,7 @@ def _scan_task(args) -> tuple[int, list[tuple[int, ...]], bool]:
             return False
         v = order[i]
         row = rows[v]
-        width = len(groups[v])
+        width = len(groups[v][0])
         step = space // width
         # every neighbor of v that closes here gains v's neighbor
         # numerator, so they must agree before it is added
@@ -318,22 +325,26 @@ def _scan_task(args) -> tuple[int, list[tuple[int, ...]], bool]:
                 return False
         return True
 
-    for sizes, weight in reps:
-        groups = [slot[s] for slot, s in zip(slots, sizes)]
-        _, glob, local = plan.numerators([[cand for _, cand in g] for g in groups])
-        # per candidate: neighbor numerator, the own numerator every
-        # vertex of the part shares, and its index in cand_lists; the
-        # filter drops the candidates whose own numerators differ
-        rows = [
-            [
-                (nbr, 0 if own is None else own[0], ci)
-                for (ci, _), (nbr, own) in zip(group, cands)
-                if own is None or len(set(own)) == 1
+    reps = iter(reps)
+    for chunk in iter(lambda: list(islice(reps, _SCAN_CHUNK)), []):
+        chunk_groups = [[slot[s] for slot, s in zip(slots, sizes)] for sizes, _ in chunk]
+        batch = [[parts for parts, _ in groups] for groups in chunk_groups]
+        for (_, weight), groups, (_, glob, local) in zip(
+            chunk, chunk_groups, plan.numerators(batch)
+        ):
+            # per candidate: neighbor numerator, the own numerator every
+            # vertex of the part shares, and its index in cand_lists; the
+            # filter drops the candidates whose own numerators differ
+            rows = [
+                [
+                    (nbr, 0 if own is None else own[0], ci)
+                    for ci, (nbr, own) in zip(indices, cands)
+                    if own is None or len(set(own)) == 1
+                ]
+                for (_, indices), cands in zip(groups, local)
             ]
-            for group, cands in zip(groups, local)
-        ]
-        if not walk(0, None, weight * prod(map(len, groups))):
-            return examined, hits, False
+            if not walk(0, None, weight * prod(len(parts) for parts, _ in groups)):
+                return examined, hits, False
     return examined, hits, True
 
 
@@ -454,54 +465,67 @@ def lemma_table(
 
     Slot "second" is path4[K_a, H, I_c, K_d] with context (a, c, d);
     slot "first" is path4[H, I_b, I_c, K_d] with context (b, c, d).
-    One ``GeodesicPlan.numerators`` call covers the whole table: the
-    slot lists every class, the other three slots their one part, and
-    each row is ``delta_extremal``'s ratio read off the shared global
-    numerators and that class's shares inside parts.
+    The table is a batch of one for ``_lemma_tables``: one
+    ``GeodesicPlan.numerators`` entry in which the slot lists every
+    class and the other three slots their one part, and each row is
+    ``delta_extremal``'s ratio read off the entry's global numerators
+    and that class's shares inside parts.
     """
+    return _lemma_tables(slot, m, [context])[0]
+
+
+def _lemma_tables(slot: str, m: int, contexts) -> list[list[tuple[Graph, Fraction]]]:
+    """``lemma_table`` for each of ``contexts``, from one
+    ``GeodesicPlan.numerators`` call with one entry per context."""
     if slot not in _LEMMA_WINNERS:
         raise ValueError(f"unknown lemma slot {slot!r}")
     if type(m) is not int:
         raise ValueError(f"lemma verification needs an integer m, not {m!r}")
     if not (1 <= m <= _LEMMA_SIZE_CAP):
         raise ValueError(f"lemma verification supports 1 <= m <= {_LEMMA_SIZE_CAP}")
-    x, c, d = context
-    if min(context) < 1:
-        raise ValueError("context part sizes must be positive")
     classes = enumerate_graphs(m)
     # the cached all-family candidates, so every table of one m shares
     # the descriptors and their common-neighbor lists
     varying = [p for p in _candidates(FAMILY_ALL, m) if p.size == m]
-    tail = [(PartDescriptor.independent(c),), (PartDescriptor.clique(d),)]
-    if slot == "first":
-        v, head = 0, [varying, (PartDescriptor.independent(x),)]
-    else:
-        v, head = 1, [(PartDescriptor.clique(x),), varying]
-    slots = head + tail
+    v = 0 if slot == "first" else 1
+    batch = []
+    for context in contexts:
+        x, c, d = context
+        if min(context) < 1:
+            raise ValueError("context part sizes must be positive")
+        if slot == "first":
+            head = [varying, (PartDescriptor.independent(x),)]
+        else:
+            head = [(PartDescriptor.clique(x),), varying]
+        batch.append(head + [(PartDescriptor.independent(c),), (PartDescriptor.clique(d),)])
     base = generate("path", 4)
-    _, glob, local = geodesic_plan(base).numerators(slots)
-    sizes = [s[0].size for s in slots]
-    fixed = [loc[0] for loc in local]
-    rows = []
-    for h, cand in zip(classes, local[v]):
-        fixed[v] = cand
-        rows.append((h, _delta(base.adjacency, sizes, glob, fixed, 0, 1).value))
-    return rows
+    tables = []
+    for slots, (_, glob, local) in zip(batch, geodesic_plan(base).numerators(batch)):
+        sizes = [s[0].size for s in slots]
+        fixed = [loc[0] for loc in local]
+        rows = []
+        for h, cand in zip(classes, local[v]):
+            fixed[v] = cand
+            rows.append((h, _delta(base.adjacency, sizes, glob, fixed, 0, 1).value))
+        tables.append(rows)
+    return tables
 
 
 def lemma_grid(slot: str, m: int, grid_max: int) -> list:
     """``(context, rows, best, holds)`` for every context in
     {1..grid_max}^3, in product order: the context's ``lemma_table``
     rows, their maximum ratio, and whether the class the slot's lemma
-    names (edgeless second, complete first) attains that maximum."""
+    names (edgeless second, complete first) attains that maximum.
+    The whole grid is one ``_lemma_tables`` batch."""
     if type(grid_max) is not int:
         raise ValueError(f"lemma grid needs an integer grid_max, not {grid_max!r}")
     if grid_max < 1:
         raise ValueError("lemma grid needs grid_max >= 1")
+    contexts = list(product(range(1, grid_max + 1), repeat=3))
+    tables = _lemma_tables(slot, m, contexts)  # checks slot and m first
+    want = 0 if _LEMMA_WINNERS[slot] == "edgeless" else m * (m - 1) // 2
     grid = []
-    for context in product(range(1, grid_max + 1), repeat=3):
-        rows = lemma_table(slot, m, context)  # checks slot and m first
-        want = 0 if _LEMMA_WINNERS[slot] == "edgeless" else m * (m - 1) // 2
+    for context, rows in zip(contexts, tables):
         best = max(v for _, v in rows)
         grid.append((context, rows, best, any(v == best for h, v in rows if h.edge_count == want)))
     return grid

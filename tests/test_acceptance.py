@@ -220,18 +220,23 @@ class TestCorpusPass:
         # move 1 from the share of the pairs inside part 0's neighbor
         # part j to the global share of part 0: j has no other neighbor,
         # so the sums stay right, the split does not
-        spec_numerators = acceptance._spec_numerators
+        specs_numerators = acceptance._specs_numerators
 
-        def shifted(spec):
-            d, glob, local = spec_numerators(spec)
-            if spec == self.SPEC:
-                (j,) = spec.base.adjacency[0]
-                assert spec.base.adjacency[j] == (0,)
-                glob = [glob[0] + d, *glob[1:]]
-                local = [(x - d, own) if k == j else (x, own) for k, (x, own) in enumerate(local)]
-            return d, glob, local
+        def shifted(specs):
+            out = specs_numerators(specs)
+            for e, spec in enumerate(specs):
+                if spec == self.SPEC:
+                    d, glob, local = out[e]
+                    (j,) = spec.base.adjacency[0]
+                    assert spec.base.adjacency[j] == (0,)
+                    glob = [glob[0] + d, *glob[1:]]
+                    local = [
+                        (x - d, own) if k == j else (x, own) for k, (x, own) in enumerate(local)
+                    ]
+                    out[e] = d, glob, local
+            return out
 
-        monkeypatch.setattr(acceptance, "_spec_numerators", shifted)
+        monkeypatch.setattr(acceptance, "_specs_numerators", shifted)
         c6, c7 = _corpus_criteria()
         assert c6 == (True, C6_PASS)
         assert c7 == (False, f"global share of part 0 of {self.SPEC.label()} disagrees at vertex 0")
@@ -361,16 +366,17 @@ class TestCriterion8Mutants:
 
     @staticmethod
     def _sink(monkeypatch, slot, m, context) -> None:
-        real = search.lemma_table
+        real = search._lemma_tables
 
-        def sunk(s, size, ctx):
-            rows = real(s, size, ctx)
-            if (s, size, ctx) == (slot, m, context):
-                want = 0 if slot == "second" else m * (m - 1) // 2
-                rows = [(h, v - 1 if h.edge_count == want else v) for h, v in rows]
-            return rows
+        def sunk(s, size, contexts):
+            tables = real(s, size, contexts)
+            for i, ctx in enumerate(contexts):
+                if (s, size, ctx) == (slot, m, context):
+                    want = 0 if slot == "second" else m * (m - 1) // 2
+                    tables[i] = [(h, v - 1 if h.edge_count == want else v) for h, v in tables[i]]
+            return tables
 
-        monkeypatch.setattr(search, "lemma_table", sunk)
+        monkeypatch.setattr(search, "_lemma_tables", sunk)
 
     def test_independent_part_lemma(self, monkeypatch):
         self._sink(monkeypatch, "second", 3, (2, 3, 1))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
@@ -472,6 +473,55 @@ class TestFractionViews:
                 )
                 assert list(dec.neighbor_locals) == list(d_nbr)
                 assert _total(dec) == Fraction(profile[v], den)
+
+
+def _random_batch(rng, base: Graph, entries: int) -> list[list[list[PartDescriptor]]]:
+    # even entries are I/K only, so they have no mass + c term; odd ones
+    # draw from every class of their slot's size, and one of their slots
+    # holds at least one explicit part
+    batch = []
+    for e in range(entries):
+        slots = []
+        forced = rng.randrange(base.n) if e % 2 else -1
+        for j in range(base.n):
+            s = rng.randint(3 if j == forced else 1, 5)
+            pool = [PartDescriptor.for_graph(h) for h in enumerate_graphs(s)]
+            if e % 2 == 0:
+                pool = [p for p in pool if p.kind != "X"]
+            slot = rng.sample(pool, rng.randint(1, len(pool)))
+            if j == forced and all(p.kind != "X" for p in slot):
+                slot.append(rng.choice([p for p in pool if p.kind == "X"]))
+            slots.append(slot)
+        batch.append(slots)
+    return batch
+
+
+class TestBatchedNumerators:
+    """One ``GeodesicPlan.numerators`` call over a batch gives, entry by
+    entry, what a batch of that entry alone gives."""
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            generate("cycle", 5),
+            Graph(5, tuple((i, j) for i in range(2) for j in range(2, 5))),
+            generate("path", 4),
+            enumerate_trees(7)[5],
+        ],
+        ids=["C5", "K23", "P4", "tree7"],
+    )
+    def test_batch_equals_batches_of_one(self, base):
+        assert is_connected(base)
+        rng = random.Random(20261021)
+        plan = bugraph.blowup.geodesic_plan(base)
+        for size in (1, 2, 7, 30):
+            batch = _random_batch(rng, base, size)
+            for e, slots in enumerate(batch):
+                assert any(p.kind == "X" for slot in slots for p in slot) == (e % 2 == 1)
+            got = plan.numerators(batch)
+            assert len(got) == size
+            assert got == [plan.numerators([slots])[0] for slots in batch]
+        assert plan.numerators([]) == []
 
 
 class TestLeafGlobalFormula:

@@ -93,6 +93,21 @@ def _closed_form_values(spec: BlowupSpec) -> list[Fraction]:
     return [Fraction(x, d) for part in _part_numerators(spec, numerators) for x in part]
 
 
+def _sweep_bases():
+    # the six bases of the benchmark sweep at their budgets
+    return [
+        (parse_graph6(g6), SearchBudget(part_family=family, max_part_size=m))
+        for g6, family, m in [
+            ("Bg", "ik", 6),
+            ("CF", "ik", 4),
+            ("Dhc", "ik", 4),
+            ("Ch", "ik", 6),
+            ("DC[", "ik", 4),
+            ("DKK", "all", 3),
+        ]
+    ]
+
+
 class TestScreen:
     @given(blowup_specs(max_base=4, max_part=3))
     @settings(max_examples=60, deadline=None)
@@ -164,6 +179,25 @@ class TestScreen:
             assert whole and sorted(hit for _, hits, _ in pieces for hit in hits) == sorted(whole)
             assert _images(whole, moves) == want
         assert _scan_task((base, cand_lists, [], None)) == (0, [], True)
+
+    @pytest.mark.parametrize(
+        "base, budget",
+        _sweep_bases(),
+        ids=lambda x: serialize_graph6(x) if isinstance(x, Graph) else x.part_family,
+    )
+    def test_batches_of_one_scan_alike(self, monkeypatch, base, budget):
+        # the orbits one serial search screens, in numerators batches of
+        # the default size and of one tuple each
+        cands = candidate_parts(budget)
+        cuts = set(cut_vertices(base))
+        cand_lists = [
+            tuple(c for c in cands if c.size > 1) if v in cuts else cands for v in range(base.n)
+        ]
+        job = (base, cand_lists, _orbit_reps(base, cand_lists), None)
+        batched = _scan_task(job)
+        monkeypatch.setattr(bugraph.search, "_SCAN_CHUNK", 1)
+        assert _scan_task(job) == batched
+        assert batched[2] and batched[0] == search_blowups(base, budget).specs_examined
 
     def test_deadline_inside_one_size_tuple(self):
         # the 34 classes on five vertices at every vertex of K_7: one size
@@ -368,18 +402,7 @@ def _listing_bases():
     # bases of the benchmark sweep at their budgets
     ik4 = SearchBudget(part_family="ik", max_part_size=4)
     trees = [(t, ik4) for n in range(2, 8) for t in enumerate_trees(n)]
-    sweep = [
-        (parse_graph6(g6), SearchBudget(part_family=family, max_part_size=m))
-        for g6, family, m in [
-            ("Bg", "ik", 6),
-            ("CF", "ik", 4),
-            ("Dhc", "ik", 4),
-            ("Ch", "ik", 6),
-            ("DC[", "ik", 4),
-            ("DKK", "all", 3),
-        ]
-    ]
-    return trees + sweep
+    return trees + _sweep_bases()
 
 
 def _brute_force_orbits(base, sizes, max_total):
@@ -637,15 +660,16 @@ class TestLemmas:
 
     def test_grid_flags_a_lost_maximum(self, monkeypatch):
         # the complete class sinks below the edgeless one at one point
-        real = bugraph.search.lemma_table
+        real = bugraph.search._lemma_tables
 
-        def sunk(slot, m, context):
-            rows = real(slot, m, context)
-            if context == (2, 1, 2):
-                rows = [(h, v - 1 if h.edge_count == 3 else v) for h, v in rows]
-            return rows
+        def sunk(slot, m, contexts):
+            tables = real(slot, m, contexts)
+            for i, context in enumerate(contexts):
+                if context == (2, 1, 2):
+                    tables[i] = [(h, v - 1 if h.edge_count == 3 else v) for h, v in tables[i]]
+            return tables
 
-        monkeypatch.setattr(bugraph.search, "lemma_table", sunk)
+        monkeypatch.setattr(bugraph.search, "_lemma_tables", sunk)
         holds = _holds("first", 3, 2)
         assert [ctx for ctx, ok in holds.items() if not ok] == [(2, 1, 2)]
 
@@ -685,18 +709,22 @@ class TestLemmas:
             assert lemma_table(slot, m, (x, c, d)) == want, (m, (x, c, d))
 
     def test_one_numerators_call_per_table(self, monkeypatch):
+        # each call logs the slot count of every entry of its batch
         calls = []
         numerators = GeodesicPlan.numerators
 
-        def counted(plan, slots):
-            calls.append(len(slots))
-            return numerators(plan, slots)
+        def counted(plan, batch):
+            calls.append([len(slots) for slots in batch])
+            return numerators(plan, batch)
 
         monkeypatch.setattr(GeodesicPlan, "numerators", counted)
         for slot, m in (("first", 1), ("second", 4), ("first", 5)):
             calls.clear()
             lemma_table(slot, m, (2, 1, 3))
-            assert calls == [4]
+            assert calls == [[4]]
+            calls.clear()
+            lemma_grid(slot, m, 3)
+            assert calls == [[4] * 27]
 
     @pytest.mark.parametrize(
         "slot, context", [("middle", (1, 1, 1)), ("first", (1, 1)), ("second", (1, 0, 1))]
